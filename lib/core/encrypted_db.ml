@@ -353,18 +353,7 @@ let search_predicate t ~column m =
   let tags = tags_for t ~column m in
   Predicate.In (tag_column column, List.map (fun tag -> Value.Int tag) tags)
 
-let search_ids t ~column m =
-  Obs.Trace.with_span "edb.search_ids" @@ fun () ->
-  let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
-  phase h_exec "query.exec" (fun () -> Executor.run t.table ~projection:Executor.Row_ids pred)
-
 let freeze t = Table.freeze t.table
-
-let search_ids_view ?pool t ~view ~column m =
-  Obs.Trace.with_span "edb.search_ids" @@ fun () ->
-  let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
-  phase h_exec "query.exec" (fun () ->
-      Executor.run_view ?pool view ~projection:Executor.Row_ids pred)
 
 let range_index t column =
   match Hashtbl.find_opt t.range_indexes column with
@@ -410,77 +399,97 @@ let decrypt_row t enc_row =
   Obs.Metrics.incr m_rows_decrypted;
   row
 
-(* Back half of a row search, shared by the live-table and snapshot
-   paths: decrypt every returned row (optionally fanned over a pool —
-   decryption is a pure read of the encryptor tables plus AES-CTR, and
-   [Task_pool.map_array] keeps results index-ordered, so the output is
-   identical to the sequential map), then the bucketized client-side
-   false-positive filter. *)
-let decrypt_and_filter ?pool t ~column m (result : Executor.result) =
-  let col_pos = Schema.column_index t.plain_schema column in
-  let decrypted =
-    phase h_decrypt "query.decrypt" (fun () ->
-        Array.to_list (Stdx.Task_pool.map_array ?pool result.rows (decrypt_row t)))
-  in
-  let rows =
-    phase h_filter "query.filter" (fun () ->
-        if Scheme.is_bucketized t.kind then
-          (* Client-side false-positive filter (paper §V-C1). Compares a
-             decrypted plaintext against the query value, so it runs
-             constant-time like every other match on secret data. *)
-          List.filter
-            (fun row ->
-              match row.(col_pos) with
-              | Value.Text s -> Stdx.Bytes_util.ct_equal s m
-              | _ -> false)
-            decrypted
-        else decrypted)
-  in
-  (rows, result)
+(* Timings of the client-side back half, for callers that run their
+   own decrypt pass (the join's memoized verify). *)
+let observe_decrypt_filter ~decrypt_ns ~filter_ns =
+  Obs.Metrics.observe h_decrypt decrypt_ns;
+  Obs.Metrics.observe h_filter filter_ns
 
-let search_rows t ~column m =
-  Obs.Trace.with_span "edb.search_rows" @@ fun () ->
+(* The one client-side back half of every SELECT shape: decrypt the
+   server's rows in order, keep those passing [keep] (the bucketized
+   false-positive check, the true range, or the proxy's residual
+   predicate), stop after [limit] survivors. Rows are decrypted in
+   chunks — one row at a time without a multi-domain pool, so a LIMIT n
+   query never decrypts past the row that completes it; 256 rows fanned
+   across a multi-domain pool, which over-decrypts at most one chunk.
+   Chunks are index-ordered, so survivors (rows, order, stopping point)
+   do not depend on the pool. Decryption and filtering interleave, so
+   the two phases are accounted by summed clock deltas and recorded as
+   pre-measured trace spans. *)
+let decrypt_filter_limit ?pool t ~keep ?limit (exec : Executor.result) =
+  let start_ns = Stdx.Clock.now_ns () in
+  let wanted = match limit with None -> max_int | Some n -> n in
+  let chunk =
+    match pool with Some p when Stdx.Task_pool.domains p > 1 -> 256 | Some _ | None -> 1
+  in
+  let n = Array.length exec.rows in
+  let kept = ref [] and n_kept = ref 0 and i = ref 0 in
+  let decrypt_ns = ref 0.0 and filter_ns = ref 0.0 in
+  while !i < n && !n_kept < wanted do
+    let lo = !i in
+    let len = min chunk (n - lo) in
+    let t0 = Stdx.Clock.now_ns () in
+    let plains = Stdx.Task_pool.map_array ?pool (Array.sub exec.rows lo len) (decrypt_row t) in
+    let t1 = Stdx.Clock.now_ns () in
+    decrypt_ns := !decrypt_ns +. (t1 -. t0);
+    let j = ref 0 in
+    while !j < len && !n_kept < wanted do
+      if keep plains.(!j) then begin
+        kept := (exec.row_ids.(lo + !j), plains.(!j)) :: !kept;
+        incr n_kept
+      end;
+      incr j
+    done;
+    filter_ns := !filter_ns +. (Stdx.Clock.now_ns () -. t1);
+    i := lo + len
+  done;
+  observe_decrypt_filter ~decrypt_ns:!decrypt_ns ~filter_ns:!filter_ns;
+  if Obs.Trace.is_enabled () then begin
+    Obs.Trace.add ~name:"query.decrypt"
+      ~attrs:[ ("rows_decrypted", string_of_int !i) ]
+      ~start_ns ~dur_ns:!decrypt_ns ();
+    Obs.Trace.add ~name:"query.filter"
+      ~attrs:[ ("kept", string_of_int !n_kept) ]
+      ~start_ns:(start_ns +. !decrypt_ns) ~dur_ns:!filter_ns ()
+  end;
+  List.rev !kept
+
+(* Server half of an equality search: the rewritten tag IN-list
+   against [view] (probes fanned over [pool]) or the live table. *)
+let exec_search ?pool ?view t ~projection ~column m =
   let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
-  let result =
-    phase h_exec "query.exec" (fun () ->
-        Executor.run t.table ~projection:Executor.All_columns pred)
-  in
-  decrypt_and_filter t ~column m result
+  phase h_exec "query.exec" (fun () ->
+      match view with
+      | Some v -> Executor.run_view ?pool v ~projection pred
+      | None -> Executor.run t.table ~projection pred)
 
-let search_rows_view ?pool t ~view ~column m =
+let search_ids ?pool ?view t ~column m =
+  Obs.Trace.with_span "edb.search_ids" @@ fun () ->
+  exec_search ?pool ?view t ~projection:Executor.Row_ids ~column m
+
+let search_rows ?pool ?view t ~column m =
   Obs.Trace.with_span "edb.search_rows" @@ fun () ->
-  let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
-  let result =
-    phase h_exec "query.exec" (fun () ->
-        Executor.run_view ?pool view ~projection:Executor.All_columns pred)
-  in
-  decrypt_and_filter ?pool t ~column m result
-
-(* Back half of a range search, shared by the flat and traversal
-   plans: decrypt the server's bucket superset and keep the rows truly
-   inside the inclusive range (edge-bucket false positives drop out). *)
-let decrypt_in_range t ~column ~lo ~hi (result : Executor.result) =
+  let result = exec_search ?pool ?view t ~projection:Executor.All_columns ~column m in
   let col_pos = Schema.column_index t.plain_schema column in
-  let in_range v =
-    match v with
-    | Value.Int x ->
-        (match lo with None -> true | Some l -> Int64.compare x l >= 0)
-        && (match hi with None -> true | Some h -> Int64.compare x h <= 0)
-    | _ -> false
+  let keep =
+    if Scheme.is_bucketized t.kind then
+      (* Client-side false-positive filter (paper §V-C1). Compares a
+         decrypted plaintext against the query value, so it runs
+         constant-time like every other match on secret data. *)
+      fun row -> match row.(col_pos) with Value.Text s -> Stdx.Bytes_util.ct_equal s m | _ -> false
+    else fun _ -> true
   in
-  let decrypted =
-    phase h_decrypt "query.decrypt" (fun () ->
-        Array.to_list (Array.map (decrypt_row t) result.rows))
-  in
-  let rows =
-    phase h_filter "query.filter" (fun () ->
-        List.filter (fun row -> in_range row.(col_pos)) decrypted)
-  in
-  (rows, result)
+  (List.map snd (decrypt_filter_limit ?pool t ~keep result), result)
+
+(* Keep predicate of a range search: the decrypted value lies inside
+   the inclusive range (edge-bucket false positives drop out). *)
+let in_range t ~column ~lo ~hi =
+  let bound = Option.map (fun x -> Value.Int x) in
+  Predicate.compile t.plain_schema (Predicate.Range (column, bound lo, bound hi))
 
 (* Range search over a bucketized INT column: server returns every row
    in the overlapping buckets; the client decrypts and keeps the rows
-   actually inside the range (edge-bucket false positives drop out). *)
+   actually inside the range. *)
 let search_range t ~column ~lo ~hi =
   Obs.Trace.with_span "edb.search_range" @@ fun () ->
   let pred = phase h_rewrite "query.rewrite" (fun () -> range_predicate t ~column ~lo ~hi) in
@@ -488,7 +497,7 @@ let search_range t ~column ~lo ~hi =
     phase h_exec "query.exec" (fun () ->
         Executor.run t.table ~projection:Executor.All_columns pred)
   in
-  decrypt_in_range t ~column ~lo ~hi result
+  (List.map snd (decrypt_filter_limit t ~keep:(in_range t ~column ~lo ~hi) result), result)
 
 (* Same query through the ESEDS plan: ship the O(log B) canonical-cover
    roots, let the server expand them over the boundary tree (DESIGN.md
@@ -508,4 +517,4 @@ let search_range_traverse ?pool t ~view ~column ~lo ~hi =
           ~tag_column:(rtag_column column) ~roots:cover.Range_struct.roots
           ~projection:Executor.All_columns pred)
   in
-  decrypt_in_range t ~column ~lo ~hi result
+  (List.map snd (decrypt_filter_limit ?pool t ~keep:(in_range t ~column ~lo ~hi) result), result)

@@ -133,46 +133,62 @@ val insert_encrypted : t -> Sqldb.Value.t array -> int
     restore path when re-attaching an exported encrypted table. The
     row is schema-checked but not re-encrypted. *)
 
-val search_ids : t -> column:string -> string -> Sqldb.Executor.result
+val search_ids :
+  ?pool:Stdx.Task_pool.t ->
+  ?view:Sqldb.Read_view.t ->
+  t ->
+  column:string ->
+  string ->
+  Sqldb.Executor.result
 (** [SELECT ID WHERE col = m], server-side only (index scan over tags;
-    may include bucketized false positives). *)
+    may include bucketized false positives). Runs against the live
+    table, or against [view] (a {!freeze}) with [pool] fanning the
+    per-tag index probes — the same answer at the same epoch. *)
 
-val search_rows : t -> column:string -> string -> Sqldb.Value.t array list * Sqldb.Executor.result
-(** [SELECT * WHERE col = m]: fetches rows, decrypts them client-side,
-    and (for bucketized schemes) drops false positives. Returns the
-    plaintext rows and the raw server-side result. *)
+val search_rows :
+  ?pool:Stdx.Task_pool.t ->
+  ?view:Sqldb.Read_view.t ->
+  t ->
+  column:string ->
+  string ->
+  Sqldb.Value.t array list * Sqldb.Executor.result
+(** [SELECT * WHERE col = m]: fetches rows, decrypts them client-side
+    through {!decrypt_filter_limit}, and (for bucketized schemes) drops
+    false positives. Returns the plaintext rows and the raw server-side
+    result. [view] and [pool] as in {!search_ids}; [pool] also fans the
+    decrypt pass, and the rows come back in the same order either way. *)
 
 val decrypt_row : t -> Sqldb.Value.t array -> Sqldb.Value.t array
 (** Decrypt one encrypted-table row back to [plain_schema] order.
     A pure read of the column keys plus AES-CTR — safe from any
     domain. *)
 
-(* Snapshot reads: freeze an epoch once, serve any number of reader
-   domains from it while writers proceed. *)
+val decrypt_filter_limit :
+  ?pool:Stdx.Task_pool.t ->
+  t ->
+  keep:(Sqldb.Value.t array -> bool) ->
+  ?limit:int ->
+  Sqldb.Executor.result ->
+  (int * Sqldb.Value.t array) list
+(** The client-side back half of every single-table read: decrypt the
+    server's rows in order, keep those passing [keep], and stop after
+    [limit] survivors; returns (row id, plaintext row) pairs. Without
+    a multi-domain [pool] rows are decrypted one at a time, so a LIMIT
+    never decrypts past the row that completes it; with one, chunks of
+    256 rows are decrypted across the pool (at most one chunk of
+    over-decryption). Survivors are identical either way. Feeds the
+    [query.decrypt_ns] / [query.filter_ns] histograms and, when
+    tracing, pre-measured [query.decrypt] / [query.filter] spans. *)
+
+val observe_decrypt_filter : decrypt_ns:float -> filter_ns:float -> unit
+(** Record one query's decrypt and filter time into the same
+    histograms, for a decrypt pass of its own (the proxy's join
+    verify). *)
 
 val freeze : t -> Sqldb.Read_view.t
-(** {!Sqldb.Table.freeze} of the underlying encrypted table. *)
-
-val search_ids_view :
-  ?pool:Stdx.Task_pool.t ->
-  t ->
-  view:Sqldb.Read_view.t ->
-  column:string ->
-  string ->
-  Sqldb.Executor.result
-(** {!search_ids} against a frozen view; [pool] fans the per-tag index
-    probes. Identical answer to {!search_ids} at the same epoch. *)
-
-val search_rows_view :
-  ?pool:Stdx.Task_pool.t ->
-  t ->
-  view:Sqldb.Read_view.t ->
-  column:string ->
-  string ->
-  Sqldb.Value.t array list * Sqldb.Executor.result
-(** {!search_rows} against a frozen view; [pool] fans both the index
-    probes and the decrypt pass (index-ordered, so the rows come back
-    in the exact order the sequential path produces). *)
+(** {!Sqldb.Table.freeze} of the underlying encrypted table: freeze an
+    epoch once and pass it as [~view] to serve any number of reader
+    domains while writers proceed. *)
 
 val search_predicate : t -> column:string -> string -> Sqldb.Predicate.t
 (** The WHERE clause a search compiles to (exposed for tests/EXPLAIN). *)

@@ -50,7 +50,8 @@ type query_result = {
 (* Statement mix plus the per-phase latency breakdown of the full
    round-trip (parse -> rewrite -> server exec -> decrypt -> residual
    filter). The query.* histograms are shared with [Encrypted_db]'s
-   search entry points — both paths measure the same pipeline. *)
+   search entry points — both paths measure the same pipeline; the
+   decrypt and filter ones are fed by [Encrypted_db]'s decrypt pass. *)
 let m_select = Obs.Metrics.counter "proxy.select_total"
 let m_join = Obs.Metrics.counter "proxy.join_total"
 let m_insert = Obs.Metrics.counter "proxy.insert_total"
@@ -64,8 +65,6 @@ let m_pairs_verified = Obs.Metrics.counter "join.pairs_verified_total"
 let h_parse = Obs.Metrics.histogram "query.parse_ns"
 let h_rewrite = Obs.Metrics.histogram "query.rewrite_ns"
 let h_exec = Obs.Metrics.histogram "query.exec_ns"
-let h_decrypt = Obs.Metrics.histogram "query.decrypt_ns"
-let h_filter = Obs.Metrics.histogram "query.filter_ns"
 
 let phase h name f = Obs.Metrics.time h (fun () -> Obs.Trace.with_span name f)
 
@@ -199,88 +198,6 @@ let rewrite_select t (s : Sql.select) =
           in
           Ok { server_sql; server_predicate = server; residual })
 
-(* Shared SELECT/DELETE/UPDATE back half: decrypt the server's answer
-   lazily and keep rows passing the residual predicate, stopping after
-   [limit] survivors. Decryption and filtering interleave in one pass
-   — a LIMIT n query never decrypts more than it needs beyond the rows
-   the residual rejects — so the two phases are accounted by summed
-   per-row clock deltas and recorded as pre-measured trace spans. *)
-let decrypt_filter_limit ?pool edb eval ?limit (exec : Executor.result) =
-  let start_ns = Stdx.Clock.now_ns () in
-  let wanted = match limit with None -> max_int | Some n -> n in
-  let kept = ref [] and n_kept = ref 0 in
-  let decrypt_ns = ref 0.0 and filter_ns = ref 0.0 in
-  let n = Array.length exec.rows in
-  let n_decrypted = ref 0 in
-  let parallel =
-    match pool with
-    | Some p when Stdx.Task_pool.domains p > 1 -> Some p
-    | Some _ | None -> None
-  in
-  (match parallel with
-  | None ->
-      (* Sequential path — also the 1-domain pool path, byte-identical
-         by construction: the loop below is exactly what ran before the
-         parallel stage existed. *)
-      let i = ref 0 in
-      while !i < n && !n_kept < wanted do
-        let t0 = Stdx.Clock.now_ns () in
-        let plain = Encrypted_db.decrypt_row edb exec.rows.(!i) in
-        let t1 = Stdx.Clock.now_ns () in
-        let keep = eval plain in
-        decrypt_ns := !decrypt_ns +. (t1 -. t0);
-        filter_ns := !filter_ns +. (Stdx.Clock.now_ns () -. t1);
-        if keep then begin
-          kept := (exec.row_ids.(!i), plain) :: !kept;
-          incr n_kept
-        end;
-        incr i
-      done;
-      n_decrypted := !i
-  | Some pool ->
-      (* Parallel path: decrypt fixed-size chunks across the pool, then
-         filter each chunk in index order until the limit is reached.
-         Survivors are identical to the sequential path (same rows,
-         same order, same stopping point); laziness holds at chunk
-         granularity — a LIMIT query over-decrypts at most one chunk
-         beyond what the sequential pass would have touched. *)
-      let chunk = 256 in
-      let i = ref 0 in
-      while !i < n && !n_kept < wanted do
-        let lo = !i in
-        let len = min chunk (n - lo) in
-        let t0 = Stdx.Clock.now_ns () in
-        let plains =
-          Stdx.Task_pool.parallel_init pool len (fun j ->
-              Encrypted_db.decrypt_row edb exec.rows.(lo + j))
-        in
-        let t1 = Stdx.Clock.now_ns () in
-        decrypt_ns := !decrypt_ns +. (t1 -. t0);
-        n_decrypted := !n_decrypted + len;
-        let j = ref 0 in
-        while !j < len && !n_kept < wanted do
-          let plain = plains.(!j) in
-          if eval plain then begin
-            kept := (exec.row_ids.(lo + !j), plain) :: !kept;
-            incr n_kept
-          end;
-          incr j
-        done;
-        filter_ns := !filter_ns +. (Stdx.Clock.now_ns () -. t1);
-        i := lo + len
-      done);
-  Obs.Metrics.observe h_decrypt !decrypt_ns;
-  Obs.Metrics.observe h_filter !filter_ns;
-  if Obs.Trace.is_enabled () then begin
-    Obs.Trace.add ~name:"proxy.decrypt"
-      ~attrs:[ ("rows_decrypted", string_of_int !n_decrypted) ]
-      ~start_ns ~dur_ns:!decrypt_ns ();
-    Obs.Trace.add ~name:"proxy.residual_filter"
-      ~attrs:[ ("kept", string_of_int !n_kept) ]
-      ~start_ns:(start_ns +. !decrypt_ns) ~dur_ns:!filter_ns ()
-  end;
-  List.rev !kept
-
 (* The ESEDS plan applies when the predicate pins a range column at
    conjunctive position: a bare Range (or point-Eq) leg with integer
    bounds, or such a leg of a top-level AND. Under OR/NOT the flat
@@ -372,7 +289,7 @@ let fetch_matching ?pool ?view edb ?limit where =
                       if not (in_range row) then Obs.Metrics.incr m_edge_fp;
                       eval row
               in
-              Ok (decrypt_filter_limit ?pool edb eval ?limit exec, exec)))
+              Ok (Encrypted_db.decrypt_filter_limit ?pool edb ~keep:eval ?limit exec, exec)))
 
 (* The cover a statement's range leg would ship — (column, root
    pseudonyms) — for tests and the leakage experiment's transcript
@@ -538,10 +455,10 @@ let execute_join ?pool t (j : Sql.join) =
                     incr i
                   done;
                   Obs.Metrics.add m_pairs_verified !n_verified;
-                  Obs.Metrics.observe h_decrypt !decrypt_ns;
-                  Obs.Metrics.observe h_filter !filter_ns;
+                  Encrypted_db.observe_decrypt_filter ~decrypt_ns:!decrypt_ns
+                    ~filter_ns:!filter_ns;
                   if Obs.Trace.is_enabled () then begin
-                    Obs.Trace.add ~name:"proxy.decrypt"
+                    Obs.Trace.add ~name:"query.decrypt"
                       ~attrs:
                         [
                           ( "rows_decrypted",

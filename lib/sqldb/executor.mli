@@ -14,9 +14,13 @@
     server-side OR of tag IN-lists); anything else is a sequential
     scan.
 
-    Every run feeds the process-wide [Obs.Metrics] registry (plan
-    counts, candidate/returned rows, a wall-time histogram) and, when
-    tracing is on, emits an [executor.run] span with an
+    {!run}, {!run_view} and {!run_traverse} differ only in where their
+    candidate ids come from; one shared core does the rest — the
+    visibility check, the residual re-check, projection, the per-query
+    pager window, and the process-wide [Obs.Metrics] feed (plan
+    counts, candidate/returned rows, a wall-time histogram). When
+    tracing is on, each run emits an [executor.run] /
+    [executor.run_view] / [executor.run_traverse] span with an
     [executor.plan] event. *)
 
 type projection =
@@ -36,13 +40,18 @@ type result = {
   rows : Value.t array array;  (** empty for [Row_ids] *)
   plan : plan_kind;
   wall_ns : float;  (** measured executor time *)
-  stats : Pager.stats;  (** pager-counter delta for this query *)
+  stats : Pager.stats;
+      (** this query's own pager charges: domain-local deltas, so they
+          stay exact while other queries run on other domains *)
 }
 
 val explain : Table.t -> Predicate.t -> plan_kind
 (** The plan that {!run} would choose, without executing. *)
 
 val run : Table.t -> projection:projection -> Predicate.t -> result
+(** Execute against the live table, on the calling domain, with no
+    writer running — index lookups may lazily rebuild a B-tree. Readers
+    on several domains take {!run_view} over a {!Table.freeze}. *)
 
 val run_join :
   ?pool:Stdx.Task_pool.t ->

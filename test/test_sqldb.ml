@@ -307,10 +307,13 @@ let test_pager_stats_accumulate () =
 (* ---------------- Snapshot views & parallel pager accounting ---------------- *)
 
 let test_pager_counters_exact_multi_domain () =
-  (* Four domains query disjoint slices of a frozen view concurrently.
-     Each query's [stats] is a domain-local delta; the pager's atomic
-     whole-instance totals must equal the sum of those deltas exactly —
-     a lost-update race in the counters would break the equality. *)
+  (* Four domains query disjoint slices concurrently — of a frozen view,
+     then of the unmutated live table (equality predicates only, so no
+     lazy B-tree rebuild runs concurrently). Each query's [stats] is a
+     domain-local delta; the pager's atomic whole-instance totals must
+     equal the sum of those deltas exactly — a lost-update race in the
+     counters, or a per-query window that counts other domains' work,
+     would break the equality. *)
   let pager = Pager.create () in
   let t = Table.create pager ~name:"t" ~schema:small_schema in
   for i = 0 to 4999 do
@@ -320,41 +323,49 @@ let test_pager_counters_exact_multi_domain () =
   let view = Table.freeze t in
   let pred k = Predicate.Eq ("name", Value.Text (Printf.sprintf "n%d" k)) in
   let seq = Array.init 64 (fun k -> Executor.run t ~projection:Executor.All_columns (pred k)) in
-  Pager.drop_caches pager;
-  Pager.reset_stats pager;
-  let n_dom = 4 in
-  let worker d () =
-    let acc = ref [] in
-    let k = ref d in
-    while !k < 64 do
-      acc := (!k, Executor.run_view view ~projection:Executor.All_columns (pred !k)) :: !acc;
-      k := !k + n_dom
-    done;
-    !acc
-  in
-  let doms = Array.init (n_dom - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  let own = worker 0 () in
-  let all = own @ List.concat_map Domain.join (Array.to_list doms) in
-  let results = Array.make 64 None in
-  List.iter (fun (k, r) -> results.(k) <- Some r) all;
-  let per_query = Array.map Option.get results in
-  let total =
-    Array.fold_left
-      (fun acc (r : Executor.result) -> Pager.sum_stats acc r.stats)
-      Pager.zero_stats per_query
-  in
-  let global = Pager.stats pager in
-  check_int "hits exact" global.hits total.hits;
-  check_int "misses exact" global.misses total.misses;
-  check_int "rows examined exact" global.rows_examined total.rows_examined;
-  check_bool "sim time sums" true
-    (Float.abs (global.sim_ns -. total.sim_ns) <= 1e-6 *. Float.max 1.0 global.sim_ns);
-  check_bool "work actually happened" true (global.misses > 0 && global.rows_examined > 0);
-  Array.iteri
-    (fun k (r : Executor.result) ->
-      Alcotest.(check (array int)) (Printf.sprintf "ids %d" k) seq.(k).row_ids r.row_ids;
-      check_bool (Printf.sprintf "rows %d" k) true (r.rows = seq.(k).rows))
-    per_query
+  List.iter
+    (fun (label, query) ->
+      Pager.drop_caches pager;
+      Pager.reset_stats pager;
+      let n_dom = 4 in
+      let worker d () =
+        let acc = ref [] in
+        let k = ref d in
+        while !k < 64 do
+          acc := (!k, query (pred !k)) :: !acc;
+          k := !k + n_dom
+        done;
+        !acc
+      in
+      let doms = Array.init (n_dom - 1) (fun i -> Domain.spawn (worker (i + 1))) in
+      let own = worker 0 () in
+      let all = own @ List.concat_map Domain.join (Array.to_list doms) in
+      let results = Array.make 64 None in
+      List.iter (fun (k, r) -> results.(k) <- Some r) all;
+      let per_query = Array.map Option.get results in
+      let total =
+        Array.fold_left
+          (fun acc (r : Executor.result) -> Pager.sum_stats acc r.stats)
+          Pager.zero_stats per_query
+      in
+      let global = Pager.stats pager in
+      let name s = label ^ ": " ^ s in
+      check_int (name "hits exact") global.hits total.hits;
+      check_int (name "misses exact") global.misses total.misses;
+      check_int (name "rows examined exact") global.rows_examined total.rows_examined;
+      check_bool (name "sim time sums") true
+        (Float.abs (global.sim_ns -. total.sim_ns) <= 1e-6 *. Float.max 1.0 global.sim_ns);
+      check_bool (name "work actually happened") true
+        (global.misses > 0 && global.rows_examined > 0);
+      Array.iteri
+        (fun k (r : Executor.result) ->
+          Alcotest.(check (array int)) (Printf.sprintf "%s ids %d" label k) seq.(k).row_ids r.row_ids;
+          check_bool (Printf.sprintf "%s rows %d" label k) true (r.rows = seq.(k).rows))
+        per_query)
+    [
+      ("view", Executor.run_view view ~projection:Executor.All_columns);
+      ("live", Executor.run t ~projection:Executor.All_columns);
+    ]
 
 let test_run_view_matches_run () =
   (* Same epoch, warm cache: [run_view] with no pool is byte-identical

@@ -479,16 +479,23 @@ let truth name =
   List.length (List.filter (fun r -> r.(1) = Sqldb.Value.Text name) edb_rows)
 
 let test_edb_search_exact_all_kinds () =
+  (* Also the snapshot path on a 4-domain pool (fanned probes, chunked
+     decrypt): the same rows in the same order, false positives dropped. *)
+  Stdx.Task_pool.with_pool ~domains:4 @@ fun pool ->
   List.iter
     (fun kind ->
       let _db, edb = make_edb kind in
+      let view = Wre.Encrypted_db.freeze edb in
       Array.iter
         (fun m ->
-          let rows, _raw = Wre.Encrypted_db.search_rows edb ~column:"name" m in
-          check_int
-            (Printf.sprintf "%s search %s" (Wre.Scheme.to_string kind) m)
-            (truth m) (List.length rows);
-          List.iter (fun r -> check_bool "right value" true (r.(1) = Sqldb.Value.Text m)) rows)
+          let label = Printf.sprintf "%s search %s" (Wre.Scheme.to_string kind) m in
+          let rows, raw = Wre.Encrypted_db.search_rows edb ~column:"name" m in
+          check_int label (truth m) (List.length rows);
+          List.iter (fun r -> check_bool "right value" true (r.(1) = Sqldb.Value.Text m)) rows;
+          let par_rows, par_raw = Wre.Encrypted_db.search_rows ~pool ~view edb ~column:"name" m in
+          check_bool (label ^ " view+pool rows identical") true (par_rows = rows);
+          check_bool (label ^ " view+pool server rows identical") true
+            (par_raw.row_ids = raw.row_ids))
         (Dist.Empirical.support small_dist))
     all_kinds
 
@@ -639,9 +646,17 @@ let make_range_edb () =
 
 let test_range_search_exact () =
   let edb = make_range_edb () in
+  let view = Wre.Encrypted_db.freeze edb in
+  Stdx.Task_pool.with_pool ~domains:4 @@ fun pool ->
   List.iter
     (fun (lo, hi) ->
       let rows, raw = Wre.Encrypted_db.search_range edb ~column:"income" ~lo ~hi in
+      (* The traversal plan on a 4-domain pool decrypts through the same
+         pass: byte-identical rows. *)
+      let trav_rows, _ =
+        Wre.Encrypted_db.search_range_traverse ~pool edb ~view ~column:"income" ~lo ~hi
+      in
+      check_bool "traversal on 4 domains identical" true (trav_rows = rows);
       let expected =
         List.length
           (List.filter
