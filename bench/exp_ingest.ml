@@ -2,9 +2,8 @@
    driven by a streaming generator — plaintext rows are produced in
    chunks and never materialized as one array — so the paper's 10M-row
    SPARTA load fits in bounded client memory. Reports client-side
-   wall-clock rows/sec, the columnar-vs-row-format storage footprint
-   (dictionary compression of the heavy-tailed tag columns), and the
-   cost of a streaming checkpoint of the finished table.
+   wall-clock rows/sec, the columnar-vs-row-format storage footprint,
+   and the cost of a streaming checkpoint of the finished table.
 
    Emits BENCH_ingest.json ({"name","config","metrics"}) so later PRs
    have a throughput trajectory to compare against. *)
@@ -83,10 +82,6 @@ let checkpoint_streaming table =
       in
       (ns, bytes))
 
-let is_tag_col name =
-  let n = String.length name in
-  n > 4 && String.sub name (n - 4) 4 = "_tag"
-
 let run ~rows:n () =
   let domain_counts = if n > 500_000 then [ 1 ] else [ 1; 2; 4 ] in
   Bench_util.heading
@@ -139,27 +134,16 @@ let run ~rows:n () =
   in
   Stdx.Table_fmt.print t;
   let table = Option.get !main_table in
-  (* Storage: columnar pages + dictionaries vs the row-format shadow. *)
-  let stats = Sqldb.Table.storage_stats table in
-  let columnar = stats.st_heap_pages * (Sqldb.Pager.config (Sqldb.Table.pager table)).page_size in
-  let row_model = stats.st_row_model_bytes in
-  let tag_plain, tag_packed =
-    Array.fold_left
-      (fun (p, k) (c : Sqldb.Table.column_stats) ->
-        if is_tag_col c.st_column then (p + c.st_plain_bytes, k + c.st_dict_bytes + c.st_ids_bytes)
-        else (p, k))
-      (0, 0) stats.st_columns
-  in
-  let tag_ratio = float_of_int tag_plain /. float_of_int (max tag_packed 1) in
+  (* Storage: columnar pages vs the row-format shadow. *)
+  let columnar = Sqldb.Table.heap_bytes table in
+  let row_model = Sqldb.Table.row_model_bytes table in
   let ckpt_ns, ckpt_bytes = checkpoint_streaming table in
   let rss = Bench_util.peak_rss_mib () in
   Printf.printf
-    "storage: columnar %.1f MiB vs row-format %.1f MiB (%.2fx); tag columns %.1f MiB -> %.1f \
-     MiB (%.2fx)\n\
+    "storage: columnar %.1f MiB vs row-format %.1f MiB (%.2fx)\n\
      checkpoint: %.1f MiB streamed in %.2f s; peak RSS %.1f MiB\n"
     (Bench_util.mib columnar) (Bench_util.mib row_model)
     (float_of_int row_model /. float_of_int (max columnar 1))
-    (Bench_util.mib tag_plain) (Bench_util.mib tag_packed) tag_ratio
     (Bench_util.mib ckpt_bytes) (ckpt_ns /. 1e9) rss;
   let cores = Domain.recommended_domain_count () in
   let ns_1d = List.assoc 1 batch_ns in
@@ -178,11 +162,6 @@ let run ~rows:n () =
     @ [
         ("columnar_heap_bytes", string_of_int columnar);
         ("row_model_heap_bytes", string_of_int row_model);
-        ( "dict_compression_ratio",
-          Printf.sprintf "%.3f" (float_of_int row_model /. float_of_int (max columnar 1)) );
-        ("tag_plain_bytes", string_of_int tag_plain);
-        ("tag_packed_bytes", string_of_int tag_packed);
-        ("tag_compression_ratio", Printf.sprintf "%.3f" tag_ratio);
         ("columnar_smaller", if columnar < row_model then "true" else "false");
         ("checkpoint_s", Printf.sprintf "%.3f" (ckpt_ns /. 1e9));
         ("checkpoint_mib", Printf.sprintf "%.1f" (Bench_util.mib ckpt_bytes));

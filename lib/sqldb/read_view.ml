@@ -1,18 +1,13 @@
 (* An immutable point-in-time view of one table: the copy-on-write
    snapshot a reader domain works against while writers keep mutating
    the live table. The columnar storage is shared with the table by
-   pointer — per-column dictionary backings and id arrays are append-
-   only (vacuum replaces them wholesale instead of mutating shared
-   slots), so everything below a frozen length is immutable forever —
+   pointer — per-column value backings are append-only (vacuum
+   replaces them wholesale instead of mutating shared slots), so
+   everything below a frozen length is immutable forever —
    while the visibility bitmap is copied, so no later insert/delete/
    vacuum/checkpoint is observable through the view. Built by
    [Table.freeze] under the table's writer lock; every accessor here is
    a pure read plus pager charges, safe to call from any domain. *)
-
-type col = {
-  dict : Column_dict.frozen;
-  ids : int array;  (* shared backing; only the first [n] slots are ours *)
-}
 
 type t = {
   epoch : int;
@@ -20,7 +15,7 @@ type t = {
   schema : Schema.t;
   pager : Pager.t;
   heap_rel : Pager.rel;
-  cols : col array;
+  cols : Value.t array array;  (* shared backings; only the first [n] slots of each are ours *)
   n : int;  (* heap slots at freeze time; shared backings may be longer *)
   live : bool array;  (* copied: the table tombstones in place *)
   row_pages : int array;  (* shared backing *)
@@ -33,7 +28,6 @@ type t = {
   rm_cur_page : int;
   rm_cur_fill : int;
   rm_data_bytes : int;
-  dict_overhead_bytes : int;
   reclaimed : Value.t array; (* physical sentinel for vacuumed slots *)
   row_bytes : Value.t array -> int; (* logical tuple size, for transfer charges *)
   indexes : (string * Table_index.t) list; (* frozen copies, sorted by column *)
@@ -41,10 +35,10 @@ type t = {
 
 let make ~epoch ~name ~schema ~pager ~heap_rel ~cols ~n ~live ~row_pages ~row_sizes ~n_dead
     ~cur_page ~cur_fill ~data_bytes ~live_bytes ~rm_cur_page ~rm_cur_fill ~rm_data_bytes
-    ~dict_overhead_bytes ~reclaimed ~row_bytes ~indexes =
+    ~reclaimed ~row_bytes ~indexes =
   { epoch; name; schema; pager; heap_rel; cols; n; live; row_pages; row_sizes; n_dead;
     cur_page; cur_fill; data_bytes; live_bytes; rm_cur_page; rm_cur_fill; rm_data_bytes;
-    dict_overhead_bytes; reclaimed; row_bytes; indexes }
+    reclaimed; row_bytes; indexes }
 
 let epoch t = t.epoch
 let name t = t.name
@@ -66,14 +60,13 @@ let is_live t id =
 
 let n_cols t = Array.length t.cols
 
+(* A stored tuple is never empty, so size 0 marks a reclaimed slot. *)
 let is_reclaimed t id =
   check t id;
-  n_cols t > 0 && t.cols.(0).ids.(id) < 0
+  t.row_sizes.(id) = 0
 
-let materialize t id =
-  Array.map (fun c -> Column_dict.frozen_get c.dict c.ids.(id)) t.cols
-
-let peek_row t id = if is_reclaimed t id then t.reclaimed else materialize t id
+let peek_row t id =
+  if is_reclaimed t id then t.reclaimed else Array.map (fun col -> col.(id)) t.cols
 
 let row_page t id =
   check t id;
@@ -110,17 +103,14 @@ let live_bytes t = t.live_bytes
 let rm_cur_page t = t.rm_cur_page
 let rm_cur_fill t = t.rm_cur_fill
 let rm_data_bytes t = t.rm_data_bytes
-let dict_overhead_bytes t = t.dict_overhead_bytes
 
 (* Columnar internals, for the checkpoint serializer: everything the
    wire format needs, without materializing rows. *)
 
-let col_id t ~col id =
+let cell t ~col id =
   check t id;
-  t.cols.(col).ids.(id)
+  t.cols.(col).(id)
 
 let row_size t id =
   check t id;
   t.row_sizes.(id)
-
-let dict t ~col = t.cols.(col).dict

@@ -4,19 +4,14 @@
     lock; afterwards every accessor is a pure read plus pager charges,
     so any number of reader domains can query the view while writers
     keep mutating the live table — readers never block writers and
-    vice versa. The columnar storage (per-column dictionaries and id
-    arrays) is shared by pointer — safe because those structures are
-    append-only, with vacuum swapping in fresh backings instead of
-    mutating shared slots — while the visibility bitmap and index
-    structures are copied, so later mutations — including vacuum and
-    checkpoint — are invisible through the view. *)
+    vice versa. The columnar storage (one value array per column) is
+    shared by pointer — safe because those arrays are append-only,
+    with vacuum swapping in fresh backings instead of mutating shared
+    slots — while the visibility bitmap and index structures are
+    copied, so later mutations — including vacuum and checkpoint — are
+    invisible through the view. *)
 
 type t
-
-type col = {
-  dict : Column_dict.frozen;
-  ids : int array;  (** shared backing; slots at or past the view's row count are foreign *)
-}
 
 val make :
   epoch:int ->
@@ -24,7 +19,7 @@ val make :
   schema:Schema.t ->
   pager:Pager.t ->
   heap_rel:Pager.rel ->
-  cols:col array ->
+  cols:Value.t array array ->
   n:int ->
   live:bool array ->
   row_pages:int array ->
@@ -37,7 +32,6 @@ val make :
   rm_cur_page:int ->
   rm_cur_fill:int ->
   rm_data_bytes:int ->
-  dict_overhead_bytes:int ->
   reclaimed:Value.t array ->
   row_bytes:(Value.t array -> int) ->
   indexes:(string * Table_index.t) list ->
@@ -61,7 +55,7 @@ val is_reclaimed : t -> int -> bool
 (** True for a slot vacuumed away before the freeze. *)
 
 val peek_row : t -> int -> Value.t array
-(** Materialize the row from the column dictionaries, without any pager
+(** Materialize the row from the column arrays, without any pager
     charge (predicate evaluation). Reclaimed slots return the empty
     sentinel row. *)
 
@@ -92,18 +86,13 @@ val rm_data_bytes : t -> int
     row-format shadow layout), so a physical checkpoint taken from the
     view ([Table.snapshot_of_view]) restores byte-identically. *)
 
-val dict_overhead_bytes : t -> int
-(** Dictionary-resident bytes across all columns at freeze time. *)
-
 (* Columnar internals — the checkpoint serializer streams these
    directly instead of materializing rows. *)
 
 val n_cols : t -> int
 
-val col_id : t -> col:int -> int -> int
-(** Dictionary id of (column, row); -1 for a reclaimed slot. *)
+val cell : t -> col:int -> int -> Value.t
+(** The stored value of (column, row); [Null] for a reclaimed slot. *)
 
 val row_size : t -> int -> int
 (** Physical (columnar) tuple bytes of a heap slot; 0 once reclaimed. *)
-
-val dict : t -> col:int -> Column_dict.frozen

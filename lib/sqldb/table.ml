@@ -3,23 +3,18 @@
    held (mutations run inside [mutate]; [epoch]/[freeze] take the lock
    to read). *)
 
-type col = {
-  mutable dict : Column_dict.t;
-  mutable ids : int Stdx.Vec.t;
-      (* dictionary id per heap slot; -1 = vacuum-reclaimed. Append-only
-         between vacuums; vacuum swaps in a fresh vector so frozen views
-         keep the old backing. *)
-}
-
 type t = {
   name : string;
   schema : Schema.t;
   pager : Pager.t;
   heap_rel : Pager.rel;
-  cols : col array;  (* one per schema column: dictionary-encoded columnar storage *)
+  mutable cols : Value.t Stdx.Vec.t array;
+      (* one per schema column, one value per heap slot ([Null] once
+         reclaimed). Append-only between vacuums; vacuum swaps in fresh
+         vectors so frozen views keep the old backings. *)
   live : bool Stdx.Vec.t;
   mutable row_pages : int Stdx.Vec.t;
-  mutable row_sizes : int Stdx.Vec.t;  (* physical tuple bytes per slot; 0 = reclaimed *)
+  mutable row_sizes : int Stdx.Vec.t;  (* physical tuple bytes per slot; 0 marks a reclaimed slot *)
   mutable n_dead : int;
   mutable cur_page : int;
   mutable cur_fill : int; (* bytes used on the current heap page *)
@@ -28,7 +23,7 @@ type t = {
   (* Row-format shadow accounting: the page cursor the pre-columnar
      engine (24-byte tuple headers, values inline) would be at. Costs
      nothing per row and gives benchmarks an honest like-for-like
-     baseline for the dictionary compression ratio. *)
+     baseline for the columnar layout. *)
   mutable rm_cur_page : int;
   mutable rm_cur_fill : int;
   mutable rm_data_bytes : int;
@@ -82,10 +77,7 @@ let create pager ~name ~schema =
     schema;
     pager;
     heap_rel = Pager.make_rel pager ~name:(name ^ ".heap");
-    cols =
-      Array.map
-        (fun (_ : Schema.column) -> { dict = Column_dict.create (); ids = Stdx.Vec.create () })
-        (Schema.columns schema);
+    cols = Array.map (fun (_ : Schema.column) -> Stdx.Vec.create ()) (Schema.columns schema);
     live = Stdx.Vec.create ();
     row_pages = Stdx.Vec.create ();
     row_sizes = Stdx.Vec.create ();
@@ -108,14 +100,15 @@ let create pager ~name ~schema =
 let name t = t.name
 let schema t = t.schema
 let pager t = t.pager
-let n_cols t = Array.length t.cols
+
+let value_bytes row = Array.fold_left (fun acc v -> acc + Value.heap_bytes v) 0 row
 
 (* Logical (row-format) tuple size — unchanged from the row-storage
    engine: read/transfer charges and the row-model shadow accounting
    both use it, so simulated query costs do not depend on the physical
    layout. *)
 let tuple_bytes schema row =
-  let data = Array.fold_left (fun acc v -> acc + Value.heap_bytes v) 0 row in
+  let data = value_bytes row in
   let null_bitmap = if Array.exists (fun v -> v = Value.Null) row then (Schema.arity schema + 7) / 8 else 0 in
   row_tuple_header + line_pointer + maxalign (data + null_bitmap)
 
@@ -128,34 +121,22 @@ let is_live t id = Stdx.Vec.get t.live id
    atom, but no live materialized row of a non-empty schema is empty). *)
 let reclaimed : Value.t array = [||]
 
-let is_reclaimed_slot t id = n_cols t > 0 && Stdx.Vec.get t.cols.(0).ids id < 0
+(* Every stored tuple is at least a header plus a line pointer, so a
+   zero size can only mean vacuum reclaimed the slot. *)
+let is_reclaimed_slot t id = Stdx.Vec.get t.row_sizes id = 0
 
-let value_at t c id = Column_dict.get t.cols.(c).dict (Stdx.Vec.get t.cols.(c).ids id)
+let value_at t c id = Stdx.Vec.get t.cols.(c) id
 
 let peek_row t id =
-  ignore (Stdx.Vec.get t.live id : bool) (* bound-check even for 0-column schemas *);
-  if n_cols t = 0 || is_reclaimed_slot t id then reclaimed
-  else Array.init (n_cols t) (fun c -> value_at t c id)
+  if is_reclaimed_slot t id then reclaimed else Array.map (fun col -> Stdx.Vec.get col id) t.cols
 
-(* Heap bookkeeping shared by insert and insert_batch: dictionary
-   interning, page assignment, per-slot vec pushes. Index maintenance
-   is the caller's job (the batch path resolves index column positions
-   once for the whole batch). *)
+(* Heap bookkeeping shared by insert and insert_batch: page assignment
+   and per-slot vec pushes. Index maintenance is the caller's job (the
+   batch path resolves index column positions once for the whole
+   batch). *)
 let append_row t row =
-  let widths = ref 0 in
-  Array.iteri
-    (fun c v ->
-      let col = t.cols.(c) in
-      let did = Column_dict.intern col.dict v in
-      Stdx.Vec.push col.ids did;
-      (* Interned columns store an id per tuple (the value lives in the
-         dictionary); raw-mode columns store the value inline. *)
-      widths :=
-        !widths
-        + (if Column_dict.is_accounted col.dict did then Column_dict.id_width col.dict
-           else Value.heap_bytes v))
-    row;
-  let bytes = col_tuple_header + line_pointer + maxalign !widths in
+  Array.iteri (fun c v -> Stdx.Vec.push t.cols.(c) v) row;
+  let bytes = col_tuple_header + line_pointer + maxalign (value_bytes row) in
   let usable = (Pager.config t.pager).page_size - page_header in
   if t.cur_fill + bytes > usable && t.cur_fill > 0 then begin
     t.cur_page <- t.cur_page + 1;
@@ -187,8 +168,8 @@ let insert_unlocked t row =
   Hashtbl.iter
     (fun col idx -> Table_index.insert idx row.(Schema.column_index t.schema col) id)
     t.indexes;
-  (* Materialized from the dictionaries, not the caller's array: the
-     hook may retain it. *)
+  (* A fresh copy, not the caller's array: the hook may retain it and
+     the caller may reuse its array. *)
   emit t (Journal.Inserted { table = t.name; row = peek_row t id });
   id
 
@@ -226,9 +207,9 @@ let delete_unlocked t id =
   if Stdx.Vec.get t.live id then begin
     Stdx.Vec.set t.live id false;
     t.n_dead <- t.n_dead + 1;
-    (* Dead tuples keep their heap storage (and dictionary references)
-       until vacuum, but stop counting toward the live-byte totals that
-       [avg_row_bytes] reports. *)
+    (* Dead tuples keep their heap storage until vacuum, but stop
+       counting toward the live-byte totals that [avg_row_bytes]
+       reports. *)
     t.live_bytes <- t.live_bytes - Stdx.Vec.get t.row_sizes id;
     emit t (Journal.Deleted { table = t.name; id });
     true
@@ -276,25 +257,13 @@ let vacuum t =
   if t.n_dead > 0 then begin
     let positions = index_positions t in
     let n = row_count t in
-    (* 1. Drop dead tuples: index entries first (while the key values
-       are still readable through the old dictionaries), then release
-       their dictionary references. *)
-    for id = 0 to n - 1 do
-      if (not (Stdx.Vec.get t.live id)) && not (is_reclaimed_slot t id) then begin
-        List.iter (fun (pos, idx) -> Table_index.remove idx (value_at t pos id) id) positions;
-        Array.iter (fun col -> Column_dict.release col.dict (Stdx.Vec.get col.ids id)) t.cols
-      end
-    done;
-    (* 2. Reclaim dictionary space: entries whose last reference just
-       went away become holes. Copy-on-write — frozen views keep the
-       old entries backing, and surviving ids are never remapped. *)
-    Array.iter (fun col -> Column_dict.vacuum col.dict) t.cols;
-    (* 3. Repack the heap: reassign pages over live tuples only, into
-       fresh vectors so frozen views keep the old backings. Row ids are
-       stable (dead ids remain, marked reclaimed); a dead id inherits
-       the current page so scans touch no extra pages on its account.
-       Live tuples keep the physical size recorded at insert. *)
-    let ids' = Array.map (fun _ -> Stdx.Vec.create ()) t.cols in
+    (* Repack the heap into fresh vectors, so frozen views keep the old
+       backings: live tuples get a new page assignment (keeping the
+       physical size recorded at insert); newly dead ones drop their
+       index entries and become reclaimed slots — [Null] cells, size 0.
+       Row ids are stable, and a dead id inherits the current page so
+       scans touch no extra pages on its account. *)
+    let cols' = Array.map (fun _ -> Stdx.Vec.create ()) t.cols in
     let pages' = Stdx.Vec.create () in
     let sizes' = Stdx.Vec.create () in
     t.cur_page <- 0;
@@ -322,16 +291,18 @@ let vacuum t =
         end;
         t.rm_cur_fill <- t.rm_cur_fill + rm;
         t.rm_data_bytes <- t.rm_data_bytes + rm;
-        Array.iteri (fun c col -> Stdx.Vec.push ids'.(c) (Stdx.Vec.get col.ids id)) t.cols;
+        Array.iteri (fun c col -> Stdx.Vec.push cols'.(c) (Stdx.Vec.get col id)) t.cols;
         Stdx.Vec.push sizes' bytes
       end
       else begin
-        Array.iter (fun v -> Stdx.Vec.push v (-1)) ids';
+        if not (is_reclaimed_slot t id) then
+          List.iter (fun (pos, idx) -> Table_index.remove idx (value_at t pos id) id) positions;
+        Array.iter (fun col -> Stdx.Vec.push col Value.Null) cols';
         Stdx.Vec.push sizes' 0
       end;
       Stdx.Vec.push pages' t.cur_page
     done;
-    Array.iteri (fun c col -> col.ids <- ids'.(c)) t.cols;
+    t.cols <- cols';
     t.row_pages <- pages';
     t.row_sizes <- sizes';
     emit t (Journal.Vacuumed { table = t.name })
@@ -356,22 +327,10 @@ let create_index ?(kind = Table_index.Btree) t ~column =
 let index_on t ~column = Hashtbl.find_opt t.indexes column
 let indexes t = Hashtbl.fold (fun _ idx acc -> idx :: acc) t.indexes []
 
-(* Storage accounting: tuple pages plus the pages the resident column
-   dictionaries occupy. Query-cost page touches model only the tuple
-   pages — dictionary pages are hot by construction (every materialize
-   hits them), matching the all-in-memory dictionaries of EncDBDB. *)
-
-let dict_overhead_bytes t =
-  Array.fold_left (fun acc col -> acc + Column_dict.overhead_bytes col.dict) 0 t.cols
+(* Storage accounting: the pages the heap tuples occupy. *)
 
 let page_size t = (Pager.config t.pager).page_size
-let tuple_pages t = if t.data_bytes = 0 then 0 else t.cur_page + 1
-
-let dict_pages t =
-  let b = dict_overhead_bytes t in
-  (b + page_size t - 1) / page_size t
-
-let heap_pages t = tuple_pages t + dict_pages t
+let heap_pages t = if t.data_bytes = 0 then 0 else t.cur_page + 1
 let heap_bytes t = heap_pages t * page_size t
 let index_bytes t = Hashtbl.fold (fun _ idx acc -> acc + Table_index.size_bytes idx) t.indexes 0
 let total_bytes t = heap_bytes t + index_bytes t
@@ -381,62 +340,6 @@ let avg_row_bytes t =
 
 let row_model_pages t = if t.rm_data_bytes = 0 then 0 else t.rm_cur_page + 1
 let row_model_bytes t = row_model_pages t * page_size t
-
-type column_stats = {
-  st_column : string;
-  st_rows : int;
-  st_distinct : int;
-  st_interned : bool;
-  st_dict_bytes : int;
-  st_ids_bytes : int;
-  st_plain_bytes : int;
-}
-
-type storage_stats = {
-  st_columns : column_stats array;
-  st_heap_pages : int;
-  st_heap_bytes : int;
-  st_row_model_pages : int;
-  st_row_model_bytes : int;
-}
-
-let storage_stats t =
-  let n = row_count t in
-  let st_columns =
-    Array.mapi
-      (fun c (sc : Schema.column) ->
-        let col = t.cols.(c) in
-        let rows = ref 0 and ids_bytes = ref 0 and plain_bytes = ref 0 in
-        let w = Column_dict.id_width col.dict in
-        for id = 0 to n - 1 do
-          let did = Stdx.Vec.get col.ids id in
-          if did >= 0 then begin
-            incr rows;
-            let v = Column_dict.get col.dict did in
-            plain_bytes := !plain_bytes + Value.heap_bytes v;
-            ids_bytes :=
-              !ids_bytes
-              + (if Column_dict.is_accounted col.dict did then w else Value.heap_bytes v)
-          end
-        done;
-        {
-          st_column = sc.Schema.name;
-          st_rows = !rows;
-          st_distinct = Column_dict.live_entries col.dict;
-          st_interned = Column_dict.intern_on col.dict;
-          st_dict_bytes = Column_dict.overhead_bytes col.dict;
-          st_ids_bytes = !ids_bytes;
-          st_plain_bytes = !plain_bytes;
-        })
-      (Schema.columns t.schema)
-  in
-  {
-    st_columns;
-    st_heap_pages = heap_pages t;
-    st_heap_bytes = heap_bytes t;
-    st_row_model_pages = row_model_pages t;
-    st_row_model_bytes = row_model_bytes t;
-  }
 
 let epoch t =
   if Atomic.get t.writer_holder = self_id () then t.epoch
@@ -449,13 +352,7 @@ let epoch t =
 
 let build_view t =
   let n = row_count t in
-  let cols =
-    Array.map
-      (fun col ->
-        let ids, _ = Stdx.Vec.backing col.ids in
-        { Read_view.dict = Column_dict.freeze col.dict; ids })
-      t.cols
-  in
+  let cols = Array.map (fun col -> fst (Stdx.Vec.backing col)) t.cols in
   let row_pages, _ = Stdx.Vec.backing t.row_pages in
   let row_sizes, _ = Stdx.Vec.backing t.row_sizes in
   Read_view.make ~epoch:t.epoch ~name:t.name ~schema:t.schema ~pager:t.pager ~heap_rel:t.heap_rel
@@ -463,8 +360,7 @@ let build_view t =
     ~live:(Array.init n (Stdx.Vec.get t.live))
     ~row_pages ~row_sizes ~n_dead:t.n_dead ~cur_page:t.cur_page ~cur_fill:t.cur_fill
     ~data_bytes:t.data_bytes ~live_bytes:t.live_bytes ~rm_cur_page:t.rm_cur_page
-    ~rm_cur_fill:t.rm_cur_fill ~rm_data_bytes:t.rm_data_bytes
-    ~dict_overhead_bytes:(dict_overhead_bytes t) ~reclaimed
+    ~rm_cur_fill:t.rm_cur_fill ~rm_data_bytes:t.rm_data_bytes ~reclaimed
     ~row_bytes:(fun row -> tuple_bytes t.schema row)
     ~indexes:
       (Hashtbl.fold (fun col idx acc -> (col, Table_index.freeze idx) :: acc) t.indexes []
@@ -496,23 +392,14 @@ let freeze t =
   end
 
 (* Physical snapshot: the exact columnar heap state, including
-   tombstones, vacuum holes and dictionary contents, so a restored
-   table is byte-identical — same row ids, dictionary ids, page
-   assignment and accounting — even after vacuums that a logical
-   replay could not reproduce. *)
-
-type column_snapshot = {
-  cs_entries : (Value.t * bool) option array;
-      (* dictionary slots in id order; [None] = hole, bool = dictionary-accounted *)
-  cs_appends : int;
-  cs_intern_on : bool;
-  cs_ids : int array;  (* dictionary id per heap slot; -1 = reclaimed *)
-}
+   tombstones and reclaimed slots, so a restored table is
+   byte-identical — same row ids, page assignment and accounting —
+   even after vacuums that a logical replay could not reproduce. *)
 
 type snapshot = {
   s_name : string;
   s_schema : Schema.t;
-  s_cols : column_snapshot array;
+  s_cols : Value.t array array;
   s_live : bool array;
   s_row_pages : int array;
   s_row_sizes : int array;
@@ -534,15 +421,7 @@ let snapshot_of_view v =
   {
     s_name = Read_view.name v;
     s_schema = Read_view.schema v;
-    s_cols =
-      Array.init (Read_view.n_cols v) (fun c ->
-          let d = Read_view.dict v ~col:c in
-          {
-            cs_entries = Array.init (Column_dict.frozen_len d) (Column_dict.frozen_entry d);
-            cs_appends = Column_dict.frozen_appends d;
-            cs_intern_on = Column_dict.frozen_intern_on d;
-            cs_ids = Array.init n (Read_view.col_id v ~col:c);
-          });
+    s_cols = Array.init (Read_view.n_cols v) (fun col -> Array.init n (Read_view.cell v ~col));
     s_live = Array.init n (Read_view.is_live v);
     s_row_pages = Array.init n (Read_view.row_page v);
     s_row_sizes = Array.init n (Read_view.row_size v);
@@ -561,16 +440,7 @@ let snapshot t = snapshot_of_view (freeze t)
 let of_snapshot pager s =
   let t = create pager ~name:s.s_name ~schema:s.s_schema in
   let n = Array.length s.s_live in
-  (* Dictionaries first (reference counts rebuilt from the heap slots
-     below), then the heap vectors verbatim. *)
-  Array.iteri
-    (fun c cs ->
-      let col = t.cols.(c) in
-      col.dict <-
-        Column_dict.of_entries ~appends:cs.cs_appends ~intern_on:cs.cs_intern_on cs.cs_entries;
-      col.ids <- Stdx.Vec.of_array cs.cs_ids;
-      Array.iter (fun did -> if did >= 0 then Column_dict.addref col.dict did) cs.cs_ids)
-    s.s_cols;
+  t.cols <- Array.map Stdx.Vec.of_array s.s_cols;
   let n_dead = ref 0 in
   for id = 0 to n - 1 do
     Stdx.Vec.push t.live s.s_live.(id);

@@ -1,15 +1,15 @@
-(** Heap tables with dictionary-encoded columnar pages.
+(** Heap tables with columnar pages.
 
-    Rows are stored in insertion order; each column's values are
-    interned in a per-column dictionary ({!Column_dict}) and the row
-    holds small integer ids, packed into 8 KiB heap pages (8-byte
-    tuple header + 4-byte line pointer, MAXALIGN'd id data). Columns
-    that evidently never repeat (ciphertext with random nonces) fall
-    back to raw storage, accounted inline. The page assignment is what
-    makes the cold-cache `SELECT *` experiments faithful: rows matching
-    one search tag were inserted at random times, so fetching them
-    touches that many distinct heap pages. Simulated query costs are
-    layout-independent — read/transfer charges use the logical
+    Rows are stored in insertion order, one value vector per column,
+    and packed into 8 KiB heap pages as columnar tuples: an 8-byte
+    tuple header, a 4-byte line pointer and the row's values inline
+    (MAXALIGN'd). No value is shared between tuples — like the
+    uncompressed PostgreSQL of the paper's Table I, so the heap size
+    does not depend on how often values repeat. The page assignment is
+    what makes the cold-cache `SELECT *` experiments faithful: rows
+    matching one search tag were inserted at random times, so fetching
+    them touches that many distinct heap pages. Simulated query costs
+    are layout-independent — read/transfer charges use the logical
     (row-format) tuple size throughout. *)
 
 type t
@@ -55,10 +55,8 @@ val update : t -> int -> Value.t array -> int
 
 val vacuum : t -> unit
 (** Reclaim dead tuples: drop their index entries (so [entry_count]
-    and [size_bytes] shrink back to the live rows), release their
-    dictionary references (unreferenced dictionary entries are
-    reclaimed too), and repack live tuples onto a fresh page
-    assignment. Row ids are stable — dead ids stay dead and
+    and [size_bytes] shrink back to the live rows), drop their values,
+    and repack live tuples onto a fresh page assignment. Row ids are stable — dead ids stay dead and
     [peek_row] on them returns an empty row afterwards. No-op when
     nothing is dead. *)
 
@@ -68,7 +66,7 @@ val read_row : t -> int -> Value.t array
     ids raise [Invalid_argument]. *)
 
 val peek_row : t -> int -> Value.t array
-(** Materialize from the column dictionaries without cost accounting
+(** Materialize from the column vectors without cost accounting
     (for test assertions and internal scans that account separately). *)
 
 val row_page : t -> int -> int
@@ -106,8 +104,7 @@ val freeze : t -> Read_view.t
 (* Storage accounting (Table I). *)
 
 val heap_pages : t -> int
-(** Tuple pages plus the pages the resident column dictionaries
-    occupy. *)
+(** Pages the heap tuples occupy. *)
 
 val heap_bytes : t -> int
 val index_bytes : t -> int
@@ -122,28 +119,7 @@ val row_model_pages : t -> int
 val row_model_bytes : t -> int
 (** What the pre-columnar row-format engine (24-byte tuple headers,
     values inline) would occupy for the same rows — the like-for-like
-    baseline for the dictionary compression ratio. *)
-
-type column_stats = {
-  st_column : string;
-  st_rows : int;  (** non-reclaimed heap slots *)
-  st_distinct : int;  (** resident dictionary entries *)
-  st_interned : bool;  (** still interning (not in raw mode) *)
-  st_dict_bytes : int;  (** dictionary-resident storage *)
-  st_ids_bytes : int;  (** per-tuple storage: id widths + raw inline values *)
-  st_plain_bytes : int;  (** Σ logical value bytes — what row storage would hold *)
-}
-
-type storage_stats = {
-  st_columns : column_stats array;
-  st_heap_pages : int;
-  st_heap_bytes : int;
-  st_row_model_pages : int;
-  st_row_model_bytes : int;
-}
-
-val storage_stats : t -> storage_stats
-(** Per-column dictionary/compression breakdown (O(rows × columns)). *)
+    baseline for the columnar layout. *)
 
 (* Durability hooks. *)
 
@@ -151,21 +127,13 @@ val set_journal : t -> Journal.hook option -> unit
 (** Install (or clear) the mutation hook. Each successful mutation is
     reported after it has fully applied in memory; see {!Journal}. *)
 
-type column_snapshot = {
-  cs_entries : (Value.t * bool) option array;
-      (** dictionary slots in id order; [None] = hole, bool = dictionary-accounted *)
-  cs_appends : int;
-  cs_intern_on : bool;
-  cs_ids : int array;  (** dictionary id per heap slot; -1 = reclaimed *)
-}
-
 type snapshot = {
   s_name : string;
   s_schema : Schema.t;
-  s_cols : column_snapshot array;
+  s_cols : Value.t array array;  (** per column, one value per heap slot; [Null] where reclaimed *)
   s_live : bool array;
   s_row_pages : int array;
-  s_row_sizes : int array;  (** physical tuple bytes per slot; 0 = reclaimed *)
+  s_row_sizes : int array;  (** physical tuple bytes per slot; 0 marks a reclaimed slot *)
   s_cur_page : int;
   s_cur_fill : int;
   s_data_bytes : int;
@@ -176,8 +144,8 @@ type snapshot = {
   s_indexes : (string * Table_index.kind) list;  (** sorted by column *)
 }
 (** Physical table state as checkpointed by the storage engine: the
-    columnar heap verbatim (dictionaries, id vectors, tombstones, page
-    assignment, accounting) plus the index definitions — index
+    columnar heap verbatim (column values, tombstones, reclaimed slots,
+    page assignment, accounting) plus the index definitions — index
     {e contents} are rebuilt on restore. *)
 
 val snapshot : t -> snapshot
@@ -190,6 +158,6 @@ val snapshot_of_view : Read_view.t -> snapshot
 
 val of_snapshot : Pager.t -> snapshot -> t
 (** Reconstruct a table from a snapshot, byte-identical to the one
-    {!snapshot} saw: same row ids, dictionary ids, heap pages,
-    accounting, and index entries (including entries of dead-but-
-    unvacuumed tuples). Emits no journal events. *)
+    {!snapshot} saw: same row ids, heap pages, accounting, and index
+    entries (including entries of dead-but-unvacuumed tuples). Emits no
+    journal events. *)

@@ -74,10 +74,11 @@ let put_schema b schema =
 
 let index_kind_code = function Table_index.Btree -> 0 | Table_index.Hash -> 1
 
-(* Little-endian fixed-width integers: dictionary ids and page numbers
-   are stored at the narrowest width that fits their range (recorded
-   elsewhere in the stream), which is what keeps a 10M-row checkpoint
-   near the in-memory columnar size instead of 4-8 bytes per cell. *)
+(* Little-endian fixed-width integers: page numbers (and the
+   dictionary ids of WRESNAP2 bodies) are stored at the narrowest width
+   that fits their range, recorded elsewhere in the stream. *)
+let width_for n = if n <= 0x100 then 1 else if n <= 0x1_0000 then 2 else 4
+
 let put_fixed b width n =
   put_u8 b n;
   if width >= 2 then put_u8 b (n lsr 8);
@@ -95,11 +96,7 @@ type table_writer = {
   w_schema : Schema.t;
   w_rows : int;
   w_cols : int;
-  w_dict_len : int -> int;
-  w_dict_entry : int -> int -> (Value.t * bool) option;
-  w_dict_appends : int -> int;
-  w_dict_intern_on : int -> bool;
-  w_col_id : int -> int -> int;  (* col -> row id -> dictionary id (-1 = reclaimed) *)
+  w_cell : int -> int -> Value.t;  (* col -> row id -> value ([Null] where reclaimed) *)
   w_live : int -> bool;
   w_row_page : int -> int;
   w_row_size : int -> int;
@@ -119,11 +116,7 @@ let writer_of_snapshot (s : Table.snapshot) =
     w_schema = s.s_schema;
     w_rows = Array.length s.s_live;
     w_cols = Array.length s.s_cols;
-    w_dict_len = (fun c -> Array.length s.s_cols.(c).Table.cs_entries);
-    w_dict_entry = (fun c i -> s.s_cols.(c).Table.cs_entries.(i));
-    w_dict_appends = (fun c -> s.s_cols.(c).Table.cs_appends);
-    w_dict_intern_on = (fun c -> s.s_cols.(c).Table.cs_intern_on);
-    w_col_id = (fun c id -> s.s_cols.(c).Table.cs_ids.(id));
+    w_cell = (fun c id -> s.s_cols.(c).(id));
     w_live = (fun id -> s.s_live.(id));
     w_row_page = (fun id -> s.s_row_pages.(id));
     w_row_size = (fun id -> s.s_row_sizes.(id));
@@ -143,11 +136,7 @@ let writer_of_view v =
     w_schema = Read_view.schema v;
     w_rows = Read_view.row_count v;
     w_cols = Read_view.n_cols v;
-    w_dict_len = (fun c -> Column_dict.frozen_len (Read_view.dict v ~col:c));
-    w_dict_entry = (fun c i -> Column_dict.frozen_entry (Read_view.dict v ~col:c) i);
-    w_dict_appends = (fun c -> Column_dict.frozen_appends (Read_view.dict v ~col:c));
-    w_dict_intern_on = (fun c -> Column_dict.frozen_intern_on (Read_view.dict v ~col:c));
-    w_col_id = (fun c id -> Read_view.col_id v ~col:c id);
+    w_cell = (fun col id -> Read_view.cell v ~col id);
     w_live = Read_view.is_live v;
     w_row_page = Read_view.row_page v;
     w_row_size = Read_view.row_size v;
@@ -167,26 +156,11 @@ let put_table_writer ?(flush = fun () -> ()) b w =
   let n = w.w_rows in
   put_u32 b n;
   put_u32 b w.w_cols;
+  (* Columns: one value per heap slot. *)
   for c = 0 to w.w_cols - 1 do
-    let dict_len = w.w_dict_len c in
-    put_u32 b dict_len;
-    for i = 0 to dict_len - 1 do
-      (* bit0 = entry present (not a vacuumed hole), bit1 = accounted *)
-      (match w.w_dict_entry c i with
-      | Some (v, accounted) ->
-          put_u8 b (1 lor if accounted then 2 else 0);
-          put_value b v
-      | None -> put_u8 b 0);
-      if i land 0xFF = 0xFF then flush ()
-    done;
-    put_u64 b (Int64.of_int (w.w_dict_appends c));
-    put_bool b (w.w_dict_intern_on c);
-    (* ids stored as id+1 (0 = reclaimed slot) at the narrowest width
-       that fits the dictionary. *)
-    let idw = Column_dict.width_for (dict_len + 1) in
     for id = 0 to n - 1 do
-      put_fixed b idw (w.w_col_id c id + 1);
-      if id land 0x1FFF = 0x1FFF then flush ()
+      put_value b (w.w_cell c id);
+      if id land 0xFF = 0xFF then flush ()
     done;
     flush ()
   done;
@@ -203,7 +177,7 @@ let put_table_writer ?(flush = fun () -> ()) b w =
   flush ();
   put_u32 b w.w_cur_page;
   put_u32 b w.w_cur_fill;
-  let pw = Column_dict.width_for (w.w_cur_page + 1) in
+  let pw = width_for (w.w_cur_page + 1) in
   for id = 0 to n - 1 do
     put_fixed b pw (w.w_row_page id);
     if id land 0x1FFF = 0x1FFF then flush ()
@@ -314,40 +288,46 @@ let get_fixed c width =
       let e = get_u8 c in
       a lor (b lsl 8) lor (d lsl 16) lor (e lsl 24)
 
-let get_table_snapshot c =
+let get_column c ~n = Array.init n (fun _ -> get_value c)
+
+(* A WRESNAP2 column: a per-column dictionary (entries in id order,
+   flags bit0 = present, bit1 = dictionary-accounted), its interning
+   state, then one id+1 per heap slot (0 = reclaimed) at the narrowest
+   width that fits. Decoded straight into one value per slot. *)
+let get_column_v2 c ~n =
+  let dict_len = get_u32 c in
+  if dict_len > remaining c then corrupt "dictionary size %d exceeds input" dict_len;
+  let entries =
+    Array.init dict_len (fun _ -> if get_u8 c land 1 = 1 then Some (get_value c) else None)
+  in
+  ignore (get_u64 c : int64) (* appends *);
+  ignore (get_bool c : bool) (* still interning *);
+  let idw = width_for (dict_len + 1) in
+  Array.init n (fun _ ->
+      match get_fixed c idw - 1 with
+      | -1 -> Value.Null
+      | id when id >= dict_len -> corrupt "dictionary id %d out of range %d" id dict_len
+      | id -> (
+          match entries.(id) with
+          | Some v -> v
+          | None -> corrupt "dictionary id %d is a vacuumed hole" id))
+
+let get_table_body c ~get_column =
   let s_name = get_str c in
   let s_schema = get_schema c in
   let n = get_u32 c in
   if n > remaining c then corrupt "row count %d exceeds input" n;
   let n_cols = get_u32 c in
-  if n_cols > remaining c then corrupt "column count %d exceeds input" n_cols;
-  let s_cols =
-    Array.init n_cols (fun _ ->
-        let dict_len = get_u32 c in
-        if dict_len > remaining c then corrupt "dictionary size %d exceeds input" dict_len;
-        let cs_entries =
-          Array.init dict_len (fun _ ->
-              let flags = get_u8 c in
-              if flags land 1 = 1 then Some (get_value c, flags land 2 = 2) else None)
-        in
-        let cs_appends = Int64.to_int (get_u64 c) in
-        let cs_intern_on = get_bool c in
-        let idw = Column_dict.width_for (dict_len + 1) in
-        let cs_ids =
-          Array.init n (fun _ ->
-              let v = get_fixed c idw - 1 in
-              if v >= dict_len then corrupt "dictionary id %d out of range %d" v dict_len;
-              v)
-        in
-        { Table.cs_entries; cs_appends; cs_intern_on; cs_ids })
-  in
+  if n_cols <> Schema.arity s_schema then
+    corrupt "column count %d does not match schema arity %d" n_cols (Schema.arity s_schema);
+  let s_cols = Array.init n_cols (fun _ -> get_column c ~n) in
   let nbytes = (n + 7) / 8 in
   need c nbytes;
   let s_live = Array.init n (fun id -> Char.code c.s.[c.p + (id / 8)] land (1 lsl (id land 7)) <> 0) in
   c.p <- c.p + nbytes;
   let s_cur_page = get_u32 c in
   let s_cur_fill = get_u32 c in
-  let pw = Column_dict.width_for (s_cur_page + 1) in
+  let pw = width_for (s_cur_page + 1) in
   let s_row_pages = Array.init n (fun _ -> get_fixed c pw) in
   let s_row_sizes = Array.init n (fun _ -> get_u32 c) in
   let s_data_bytes = Int64.to_int (get_u64 c) in
@@ -379,3 +359,6 @@ let get_table_snapshot c =
     s_rm_data_bytes;
     s_indexes;
   }
+
+let get_table_snapshot c = get_table_body c ~get_column
+let get_table_snapshot_v2 c = get_table_body c ~get_column:get_column_v2

@@ -42,8 +42,8 @@ val writer_of_view : Sqldb.Read_view.t -> table_writer
 val put_table_writer : ?flush:(unit -> unit) -> Buffer.t -> table_writer -> unit
 (** Serialize; [flush] is called at least once per few thousand cells
     (and at every section boundary) so the caller can spill the buffer
-    to disk. Dictionary ids and page numbers are written at the
-    narrowest fixed width that fits their range. *)
+    to disk. Columns are written as one value per heap slot; page
+    numbers at the narrowest fixed width that fits their range. *)
 
 val put_table_snapshot : Buffer.t -> Sqldb.Table.snapshot -> unit
 (** [put_table_writer] over [writer_of_snapshot], no flushing. *)
@@ -58,3 +58,8 @@ val get_value : cursor -> Sqldb.Value.t
 val get_row : cursor -> Sqldb.Value.t array
 val get_schema : cursor -> Sqldb.Schema.t
 val get_table_snapshot : cursor -> Sqldb.Table.snapshot
+
+val get_table_snapshot_v2 : cursor -> Sqldb.Table.snapshot
+(** Decode a table written in the older [WRESNAP2] body layout, where
+    each column was a value dictionary plus one id per heap slot, into
+    the same per-slot snapshot {!get_table_snapshot} returns. *)

@@ -13,8 +13,14 @@ exception Corrupt_snapshot of string
    whole database twice over. V2 writes [magic | body | u32 crc]: the
    CRC is computed incrementally while the body streams out through a
    bounded buffer and lands in a footer. The atomic tmp-rename publish
-   is unchanged, so a torn write still leaves the old snapshot. *)
-let magic = "WRESNAP2"
+   is unchanged, so a torn write still leaves the old snapshot.
+
+   Format 3 keeps that layout and stores each column as one value per
+   heap slot instead of a value dictionary plus ids. Format 2 is still
+   read (never written), so stores checkpointed before the change open
+   unchanged. *)
+let magic = "WRESNAP3"
+let magic_v2 = "WRESNAP2"
 
 let path ~dir = Filename.concat dir "snapshot.bin"
 let wal_path ~dir = Filename.concat dir "wal.bin"
@@ -72,7 +78,7 @@ let write ~dir t =
 let write_views ~dir ~last_lsn ~pager ~views ~wre =
   write_stream ~dir ~last_lsn ~pager ~table_writers:(List.map Codec.writer_of_view views) ~wre
 
-let decode_body body =
+let decode_body ~get_table body =
   let c = Codec.cursor body in
   let last_lsn = Codec.get_u64 c in
   let page_size = Codec.get_u32 c in
@@ -84,7 +90,7 @@ let decode_body body =
     { Sqldb.Pager.page_size; io_miss_ns; cpu_row_ns; cpu_probe_ns; cpu_transfer_ns_per_byte }
   in
   let n_tables = Codec.get_u32 c in
-  let tables = List.init n_tables (fun _ -> Codec.get_table_snapshot c) in
+  let tables = List.init n_tables (fun _ -> get_table c) in
   let n_wre = Codec.get_u32 c in
   let wre = List.init n_wre (fun _ -> Record.get_wre_config c) in
   if not (Codec.at_end c) then raise (Codec.Corrupt "trailing bytes after snapshot");
@@ -94,10 +100,15 @@ let load ~dir =
   match Io.read_file (path ~dir) with
   | None -> None
   | Some data -> (
-      if String.length data < 12 || String.sub data 0 8 <> magic then
-        raise (Corrupt_snapshot "bad magic");
+      if String.length data < 12 then raise (Corrupt_snapshot "bad magic");
+      let get_table =
+        match String.sub data 0 8 with
+        | m when m = magic -> Codec.get_table_snapshot
+        | m when m = magic_v2 -> Codec.get_table_snapshot_v2
+        | _ -> raise (Corrupt_snapshot "bad magic")
+      in
       let body = String.sub data 8 (String.length data - 12) in
       let c = Codec.cursor (String.sub data (String.length data - 4) 4) in
       let crc = Int32.of_int (Codec.get_u32 c) in
       if Crc32.digest body <> crc then raise (Corrupt_snapshot "checksum mismatch");
-      try Some (decode_body body) with Codec.Corrupt e -> raise (Corrupt_snapshot e))
+      try Some (decode_body ~get_table body) with Codec.Corrupt e -> raise (Corrupt_snapshot e))

@@ -78,8 +78,8 @@ let test_table_insert_read () =
 let test_table_pages_grow () =
   let pager = Pager.create () in
   let t = Table.create pager ~name:"t" ~schema:small_schema in
-  (* Distinct ~104-byte names: nothing deduplicates, so the dictionary
-     holds 1000 large entries and the heap must still span many pages. *)
+  (* Distinct ~104-byte names, stored inline: the heap must span many
+     pages. *)
   for i = 0 to 999 do
     ignore (Table.insert t (mk_row i (Printf.sprintf "%04d%s" i (String.make 100 'x')) (Some 0.0)))
   done;
@@ -91,8 +91,9 @@ let test_table_pages_grow () =
   (* Row-format shadow accounting sees the values inline: > 100 B/row. *)
   check_bool "row-model bytes sane" true
     (Table.row_model_bytes t > 100 * Table.live_count t);
-  (* Same string every row: the dictionary stores it once and pages
-     collapse — the columnar win the shadow accounting quantifies. *)
+  (* Same string every row, still stored once per tuple: the columnar
+     tuple's 8-byte header (against the row format's 24 plus null
+     bitmap) keeps the heap below the row-model shadow. *)
   let t2 = Table.create pager ~name:"t2" ~schema:small_schema in
   for i = 0 to 999 do
     ignore (Table.insert t2 (mk_row i (String.make 100 'x') (Some 0.0)))
@@ -797,16 +798,11 @@ let test_avg_row_bytes_tracks_deletes () =
   ignore (Table.insert t (mk_row 0 "fresh" None));
   check_bool "recovers" true (Table.avg_row_bytes t > 0.0)
 
-(* Helper: the name-column dictionary contents of a snapshot, as
-   (value, hole?) in id order. *)
-let name_dict_entries (s : Table.snapshot) =
-  s.Table.s_cols.(1).Table.cs_entries
-
 let test_columnar_vacuum_roundtrip () =
   let pager = Pager.create () in
   let t = Table.create pager ~name:"t" ~schema:small_schema in
   let idx = Table.create_index t ~column:"name" in
-  (* 7 distinct names over 300 rows: heavy dictionary sharing. *)
+  (* 7 distinct names over 300 rows. *)
   for i = 0 to 299 do
     ignore (Table.insert t (mk_row i (Printf.sprintf "v%d" (i mod 7)) None))
   done;
@@ -816,36 +812,34 @@ let test_columnar_vacuum_roundtrip () =
   check_bool "clean roundtrip" true (Table.snapshot r1 = s1);
   check_int "restored heap pages" (Table.heap_pages t) (Table.heap_pages r1);
   check_bool "restored avg" true (Table.avg_row_bytes r1 = Table.avg_row_bytes t);
-  (* Drop every "v0" row; its dictionary entry must survive until
-     vacuum, then become a hole while every other id is untouched. *)
+  (* Drop every "v0" row; vacuum must reclaim exactly those slots and
+     leave every other row untouched. *)
   for i = 0 to 299 do
     if i mod 7 = 0 then ignore (Table.delete t i)
   done;
-  let stats = Table.storage_stats t in
-  check_int "dict keeps dead values before vacuum" 7 stats.st_columns.(1).st_distinct;
+  let before = Array.init 300 (Table.peek_row t) in
   (* Restored-from-snapshot table must behave identically through the
-     same churn — this is what proves the reference counts were rebuilt
-     exactly: a wrong count would reclaim the wrong entries below. *)
+     same churn. *)
   let r2 = Table.of_snapshot pager (Table.snapshot t) in
   Table.vacuum t;
   Table.vacuum r2;
   check_bool "restored table vacuums identically" true (Table.snapshot r2 = Table.snapshot t);
-  let ents = name_dict_entries (Table.snapshot t) in
-  let holes = Array.length (Array.of_list (List.filter Option.is_none (Array.to_list ents))) in
-  check_int "exactly the v0 entry reclaimed" 1 holes;
-  check_int "live name entries" 6 (Table.storage_stats t).st_columns.(1).st_distinct;
+  for i = 0 to 299 do
+    if i mod 7 = 0 then
+      check_bool (Printf.sprintf "reclaimed slot %d reads empty" i) true (Table.peek_row t i = [||])
+    else check_bool (Printf.sprintf "surviving row %d unchanged" i) true (Table.peek_row t i = before.(i))
+  done;
   check_bool "v0 unfindable" true
     (Array.length (Table_index.lookup idx (Value.Text "v0")) = 0);
   check_bool "v1 intact" true (Array.length (Table_index.lookup idx (Value.Text "v1")) > 0);
   (* All-dead edge: a fully deleted and vacuumed table accounts to
-     zero — no pages, no dictionary residue — with row ids intact. *)
+     zero pages, with row ids intact. *)
   for i = 0 to Table.row_count t - 1 do
     ignore (Table.delete t i)
   done;
   Table.vacuum t;
   check_int "all-dead: no heap pages" 0 (Table.heap_pages t);
   check_int "all-dead: no heap bytes" 0 (Table.heap_bytes t);
-  check_int "all-dead: no dict entries" 0 (Table.storage_stats t).st_columns.(1).st_distinct;
   check_int "all-dead: row ids stable" 300 (Table.row_count t);
   check_bool "all-dead: reclaimed rows empty" true (Table.peek_row t 0 = [||]);
   (* Reclaimed-slot edge: new rows append past the holes; the physical
@@ -860,35 +854,37 @@ let test_columnar_vacuum_roundtrip () =
     | Some i -> Array.length (Table_index.lookup i (Value.Text "v1")) = 1
     | None -> false)
 
-(* The raw-mode switch (a column that never repeats drops its intern
-   table after probation) is a pure function of serialized state, so a
-   restored table flips at exactly the same append a crash-free run
-   does — grow both side by side and compare the physical state. *)
-let test_dict_raw_mode_deterministic_across_restore () =
+(* A restored table grows exactly like the original: push both
+   through the same appends and compare the physical state. *)
+let test_restore_then_grow_deterministic () =
   let pager = Pager.create () in
   let t = Table.create pager ~name:"t" ~schema:small_schema in
   let row i = mk_row i (Printf.sprintf "unique-%08d" i) None in
   ignore (Table.insert_batch t (Array.init 3000 row));
-  check_bool "still interning below probation" true
-    (Table.storage_stats t).st_columns.(1).st_interned;
   let r = Table.of_snapshot pager (Table.snapshot t) in
-  (* Push both through the probation threshold. *)
   ignore (Table.insert_batch t (Array.init 3000 (fun i -> row (3000 + i))));
   ignore (Table.insert_batch r (Array.init 3000 (fun i -> row (3000 + i))));
-  check_bool "raw mode entered" true
-    (not (Table.storage_stats t).st_columns.(1).st_interned);
   check_bool "identical physical state" true (Table.snapshot t = Table.snapshot r);
-  check_int "identical heap bytes" (Table.heap_bytes t) (Table.heap_bytes r);
-  (* Raw-mode storage is accounted inline, not in the dictionary: once
-     the switch happens, more unique rows grow the per-tuple bytes but
-     the dictionary charge is frozen. *)
-  let before = Table.storage_stats t in
-  ignore (Table.insert_batch t (Array.init 1000 (fun i -> row (6000 + i))));
-  let after = Table.storage_stats t in
-  check_int "dict charge frozen in raw mode" before.st_columns.(1).st_dict_bytes
-    after.st_columns.(1).st_dict_bytes;
-  check_bool "raw values accounted inline" true
-    (after.st_columns.(1).st_ids_bytes > before.st_columns.(1).st_ids_bytes + 1000 * 8)
+  check_int "identical heap bytes" (Table.heap_bytes t) (Table.heap_bytes r)
+
+(* Resource bound on resident column storage: beyond the values
+   themselves, a table with no indexes keeps at most 3 words per cell
+   (one vector slot, two with doubling slack) and 8 words per row (the
+   visibility, page and size vectors, with their slack). A per-cell
+   entry record, option box or id indirection would break it. *)
+let test_column_storage_words_bound () =
+  let n = 5000 in
+  let pager = Pager.create () in
+  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  let rows = Array.init n (fun i -> mk_row i (Printf.sprintf "unique-%08d" i) (Some (float_of_int i))) in
+  ignore (Table.insert_batch t rows);
+  let values = Array.concat (Array.to_list rows) in
+  let cells = Array.length values in
+  let extra = Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr values) in
+  check_bool
+    (Printf.sprintf "%d extra words <= 3/cell + 8/row (%d cells, %d rows)" extra cells n)
+    true
+    (extra <= (3 * cells) + (8 * n))
 
 (* ---------------- QCheck ---------------- *)
 
@@ -1224,8 +1220,9 @@ let () =
           Alcotest.test_case "avg_row_bytes tracks deletes" `Quick
             test_avg_row_bytes_tracks_deletes;
           Alcotest.test_case "vacuum roundtrip" `Quick test_columnar_vacuum_roundtrip;
-          Alcotest.test_case "raw-mode deterministic" `Quick
-            test_dict_raw_mode_deterministic_across_restore;
+          Alcotest.test_case "restore-then-grow deterministic" `Quick
+            test_restore_then_grow_deterministic;
+          Alcotest.test_case "column storage words bound" `Quick test_column_storage_words_bound;
         ] );
       ( "csv",
         [

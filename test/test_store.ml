@@ -157,6 +157,19 @@ let test_codec_table_snapshot_roundtrip () =
   let back = Store.Codec.get_table_snapshot (Store.Codec.cursor (Buffer.contents b)) in
   check_bool "snapshot roundtrip" true (back = snap)
 
+(* A body whose column count disagrees with its schema is rejected at
+   decode, not left to fail at the first row access. *)
+let test_codec_snapshot_arity_checked () =
+  let t = Sqldb.Table.create (Sqldb.Pager.create ()) ~name:"t" ~schema:plain_schema in
+  ignore (Sqldb.Table.insert t (op_row 0));
+  let snap = Sqldb.Table.snapshot t in
+  let b = Buffer.create 64 in
+  Store.Codec.put_table_snapshot b { snap with s_cols = [| snap.s_cols.(0) |] };
+  check_bool "column count mismatch rejected" true
+    (match Store.Codec.get_table_snapshot (Store.Codec.cursor (Buffer.contents b)) with
+    | exception Store.Codec.Corrupt _ -> true
+    | _ -> false)
+
 let test_record_roundtrip () =
   let ops =
     [
@@ -446,6 +459,111 @@ let test_snapshot_stream_equals_record () =
       let loaded = Option.get (Store.Snapshot.load ~dir) in
       check_bool "decodes to the frozen state" true (loaded.Store.Snapshot.tables = tables);
       check_bool "lsn preserved" true (loaded.Store.Snapshot.last_lsn = last_lsn))
+
+(* ---------------- WRESNAP2 compatibility ---------------- *)
+
+(* corpus/wresnap2-snapshot.bin is the snapshot.bin of a store written
+   in the older WRESNAP2 format (dictionary-encoded columns): a fresh
+   Store.Engine directory, [legacy_ops] on its database, then
+   Store.Engine.checkpoint and close. The checkpoint left the WAL
+   empty, so the snapshot alone is the whole store. It exercises 1- and
+   2-byte dictionary ids, NULL cells, an UPDATE, vacuum-reclaimed
+   slots, and dead-but-unvacuumed rows with live index entries. *)
+let legacy_schema =
+  Sqldb.Schema.create
+    [
+      { name = "id"; ty = Sqldb.Value.TInt; nullable = false };
+      { name = "name"; ty = Sqldb.Value.TText; nullable = false };
+      { name = "note"; ty = Sqldb.Value.TBlob; nullable = true };
+    ]
+
+let legacy_names = [| "alice"; "bob"; "carol"; "dave"; "erin" |]
+
+let legacy_row i =
+  [|
+    Sqldb.Value.Int (Int64.of_int i);
+    Sqldb.Value.Text legacy_names.(i mod Array.length legacy_names);
+    (if i mod 11 = 0 then Sqldb.Value.Null else Sqldb.Value.Blob (Printf.sprintf "note-%04d" i));
+  |]
+
+let legacy_ops db =
+  let t = Sqldb.Database.create_table db ~name:"legacy" ~schema:legacy_schema in
+  ignore (Sqldb.Table.create_index t ~column:"name");
+  ignore (Sqldb.Table.create_index ~kind:Sqldb.Table_index.Hash t ~column:"id");
+  ignore (Sqldb.Table.insert_batch t (Array.init 1200 legacy_row));
+  (match Sqldb.Sql.execute db "UPDATE legacy SET name = 'zed' WHERE name = 'erin'" with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  for i = 0 to 1199 do
+    if i mod 7 = 3 then ignore (Sqldb.Table.delete t i)
+  done;
+  Sqldb.Table.vacuum t;
+  for i = 0 to 59 do
+    ignore (Sqldb.Table.insert t (legacy_row (2000 + i)))
+  done;
+  ignore (Sqldb.Table.delete t 5);
+  ignore (Sqldb.Table.delete t 6);
+  t
+
+(* The heap page of every slot as the file's writer laid them out:
+   page [p] starts at slot [legacy_page_starts.(p)]. Tuple sizes have
+   changed since, so a replay cannot reproduce these. *)
+let legacy_page_starts = [| 0; 595; 1190 |]
+
+let legacy_page id =
+  let p = ref 0 in
+  Array.iteri (fun i start -> if id >= start then p := i) legacy_page_starts;
+  !p
+
+let index_answers t ~column v =
+  match Sqldb.Table.index_on t ~column with
+  | Some idx -> List.sort compare (Array.to_list (Sqldb.Table_index.lookup idx v))
+  | None -> Alcotest.failf "no index on %s" column
+
+let test_wresnap2_fixture_opens () =
+  with_temp_dir (fun dir ->
+      let fixture = Option.get (Store.Io.read_file "corpus/wresnap2-snapshot.bin") in
+      check_bool "fixture is WRESNAP2" true (String.sub fixture 0 8 = "WRESNAP2");
+      let f = Store.Io.open_trunc (Store.Snapshot.path ~dir) in
+      Store.Io.write f fixture;
+      Store.Io.close f;
+      let store = Store.Engine.open_dir ~dir () in
+      check_bool "snapshot loaded" true (Store.Engine.recovery store).Store.Engine.snapshot_loaded;
+      let t = Sqldb.Database.table (Store.Engine.db store) "legacy" in
+      let expected = legacy_ops (Sqldb.Database.create ()) in
+      let n = Sqldb.Table.row_count expected in
+      check_int "row ids" n (Sqldb.Table.row_count t);
+      check_int "live rows" (Sqldb.Table.live_count expected) (Sqldb.Table.live_count t);
+      for id = 0 to n - 1 do
+        let what = Printf.sprintf "slot %d" id in
+        check_bool (what ^ " liveness") (Sqldb.Table.is_live expected id) (Sqldb.Table.is_live t id);
+        (* Reclaimed slots read [||] on both sides. *)
+        check_bool (what ^ " row") true (Sqldb.Table.peek_row t id = Sqldb.Table.peek_row expected id);
+        check_int (what ^ " page") (legacy_page id) (Sqldb.Table.row_page t id)
+      done;
+      let lookups =
+        List.map (fun s -> ("name", Sqldb.Value.Text s)) ("zed" :: Array.to_list legacy_names)
+        @ List.init 30 (fun k -> ("id", Sqldb.Value.Int (Int64.of_int (k * 71))))
+        @ [ ("id", Sqldb.Value.Int 5L); ("id", Sqldb.Value.Int 2059L) ]
+      in
+      List.iter
+        (fun (column, v) ->
+          check_bool
+            (Printf.sprintf "lookup %s = %s" column (Sqldb.Value.to_string v))
+            true
+            (index_answers t ~column v = index_answers expected ~column v))
+        lookups;
+      (* A new checkpoint writes the current format and reopens to the
+         same physical state. *)
+      let before = Sqldb.Table.snapshot t in
+      Store.Engine.checkpoint store;
+      Store.Engine.close store;
+      let written = Option.get (Store.Io.read_file (Store.Snapshot.path ~dir)) in
+      check_bool "checkpoint writes WRESNAP3" true (String.sub written 0 8 = "WRESNAP3");
+      let store = Store.Engine.open_dir ~dir () in
+      let t = Sqldb.Database.table (Store.Engine.db store) "legacy" in
+      check_bool "WRESNAP3 reopens identically" true (Sqldb.Table.snapshot t = before);
+      Store.Engine.close store)
 
 let test_atomic_write_text_crash_safe () =
   with_temp_dir (fun dir ->
@@ -740,6 +858,7 @@ let () =
           Alcotest.test_case "scalars" `Quick test_codec_scalars;
           Alcotest.test_case "truncation rejected" `Quick test_codec_truncation_rejected;
           Alcotest.test_case "table snapshot" `Quick test_codec_table_snapshot_roundtrip;
+          Alcotest.test_case "snapshot arity checked" `Quick test_codec_snapshot_arity_checked;
           Alcotest.test_case "record ops" `Quick test_record_roundtrip;
         ] );
       ( "wal",
@@ -764,6 +883,7 @@ let () =
           Alcotest.test_case "tmp ignored" `Quick test_snapshot_tmp_ignored;
           Alcotest.test_case "corrupt rejected" `Quick test_corrupt_snapshot_rejected;
           Alcotest.test_case "stream = record" `Quick test_snapshot_stream_equals_record;
+          Alcotest.test_case "WRESNAP2 fixture opens" `Quick test_wresnap2_fixture_opens;
           Alcotest.test_case "atomic_write_text" `Quick test_atomic_write_text_crash_safe;
         ] );
       ( "failpoints",
