@@ -91,7 +91,7 @@ let run_scheme ~kind ~left_rows ~right_rows ~iters =
     if domains = 1 then fun () -> Result.get_ok (Wre.Proxy.execute proxy sql)
     else fun () ->
       Stdx.Task_pool.with_pool ~domains (fun pool ->
-          Result.get_ok (Wre.Proxy.execute_snapshot ~pool proxy sql))
+          Result.get_ok (Wre.Proxy.execute ~pool proxy sql))
   in
   let reference = join_at 1 () in
   let jr = Option.get reference.Wre.Proxy.join_exec in

@@ -165,7 +165,7 @@ let run ~rows:requested ~n_queries:_ () =
   (* Warm pass: fill the buffer pool once so every measured config pays
      identical storage charges (same protocol as exp_concurrency). *)
   let proxy = Wre.Proxy.create edb in
-  List.iter (fun sql -> ignore (Wre.Proxy.execute_snapshot proxy sql)) sqls;
+  List.iter (fun sql -> ignore (Wre.Proxy.execute proxy sql)) sqls;
   let results =
     List.concat_map
       (fun clients ->

@@ -473,7 +473,7 @@ let query_csv input sidecar table input2 sidecar2 table2 sql domains tracing =
       if domains = 1 then Wre.Proxy.execute proxy sql
       else
         Stdx.Task_pool.with_pool ~domains (fun pool ->
-            Wre.Proxy.execute_snapshot ~pool proxy sql)
+            Wre.Proxy.execute ~pool proxy sql)
     in
     print_string (Sqldb.Csv.render (r.columns :: Sqldb.Csv.untyped_rows r.rows));
     Printf.eprintf "(%d rows; server handled %d encrypted rows)\n" (List.length r.rows)

@@ -455,13 +455,12 @@ let decrypt_filter_limit ?pool t ~keep ?limit (exec : Executor.result) =
   List.rev !kept
 
 (* Server half of an equality search: the rewritten tag IN-list
-   against [view] (probes fanned over [pool]) or the live table. *)
+   against [view], or a view frozen now (probes fanned over [pool]). *)
 let exec_search ?pool ?view t ~projection ~column m =
   let pred = phase h_rewrite "query.rewrite" (fun () -> search_predicate t ~column m) in
   phase h_exec "query.exec" (fun () ->
-      match view with
-      | Some v -> Executor.run_view ?pool v ~projection pred
-      | None -> Executor.run t.table ~projection pred)
+      let view = match view with Some v -> v | None -> freeze t in
+      Executor.run_view ?pool view ~projection pred)
 
 let search_ids ?pool ?view t ~column m =
   Obs.Trace.with_span "edb.search_ids" @@ fun () ->

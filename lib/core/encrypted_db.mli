@@ -141,8 +141,8 @@ val search_ids :
   string ->
   Sqldb.Executor.result
 (** [SELECT ID WHERE col = m], server-side only (index scan over tags;
-    may include bucketized false positives). Runs against the live
-    table, or against [view] (a {!freeze}) with [pool] fanning the
+    may include bucketized false positives). Runs against [view] (a
+    {!freeze}), or a view frozen at call time, with [pool] fanning the
     per-tag index probes — the same answer at the same epoch. *)
 
 val search_rows :

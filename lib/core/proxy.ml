@@ -229,17 +229,18 @@ let rec uses_range_column edb = function
   | Predicate.True | Predicate.In _ -> false
 
 (* Shared SELECT/DELETE/UPDATE front half: run the rewritten server
-   query, decrypt, apply the residual predicate; returns surviving
-   (row_id, plaintext_row) pairs plus the raw executor result.
+   query against [view] — or a view frozen now, when the caller brought
+   none or one of another table (a multi-table batch may hand one
+   table's view to every statement) — decrypt, apply the residual
+   predicate; returns surviving (row_id, plaintext_row) pairs plus the
+   raw executor result.
 
    Range predicates at conjunctive position take the [Range_traverse]
-   plan over a frozen view (frozen here when the caller brought none —
-   mutations are caller-serialized, so the freeze is consistent): the
-   query ships O(log B) cover roots, the server expands them over the
-   encrypted boundary tree, and the residual pass counts edge-bucket
-   false positives into [range.edge_fp_rows_total]. The traversal's
-   candidate set equals the flat rtag IN-list's, so results stay
-   byte-identical to the flat plan and to the sequential path. *)
+   plan: the query ships O(log B) cover roots, the server expands them
+   over the encrypted boundary tree, and the residual pass counts
+   edge-bucket false positives into [range.edge_fp_rows_total]. The
+   traversal's candidate set equals the flat rtag IN-list's, so results
+   stay byte-identical to the flat plan and to the sequential path. *)
 let fetch_matching ?pool ?view edb ?limit where =
   match rewrite edb where with
   | Error e -> Error e
@@ -250,23 +251,19 @@ let fetch_matching ?pool ?view edb ?limit where =
       | None -> if uses_range_column edb where then Obs.Metrics.incr m_range_flat);
       match
         phase h_exec "proxy.server_exec" (fun () ->
+            let view =
+              match view with
+              | Some v when Read_view.name v = table_name edb -> v
+              | Some _ | None -> Encrypted_db.freeze edb
+            in
             match traversal with
             | Some (col, lo, hi) ->
-                let v =
-                  match view with
-                  | Some v when Read_view.name v = table_name edb -> v
-                  | Some _ | None -> Encrypted_db.freeze edb
-                in
                 let cover = Encrypted_db.range_cover edb ~column:col ~lo ~hi in
-                Executor.run_traverse ?pool v
+                Executor.run_traverse ?pool view
                   ~tree:(Encrypted_db.range_tree edb col)
                   ~tag_column:(Encrypted_db.rtag_column col)
                   ~roots:cover.Range_struct.roots ~projection:Executor.All_columns server
-            | None -> (
-                match view with
-                | Some v -> Executor.run_view ?pool v ~projection:Executor.All_columns server
-                | None ->
-                    Executor.run (Encrypted_db.table edb) ~projection:Executor.All_columns server))
+            | None -> Executor.run_view ?pool view ~projection:Executor.All_columns server)
       with
       | exception Not_found -> Error "predicate references an unknown column"
       | exec -> (
@@ -484,10 +481,10 @@ let execute_join ?pool t (j : Sql.join) =
                       join_exec = Some jr;
                     })))
 
-let execute_stmt t stmt =
+let execute_stmt ?pool ?view t stmt =
   match stmt with
   | Sql.Create_table _ -> Error "the proxy does not rewrite CREATE TABLE"
-  | Sql.Select_join j -> execute_join t j
+  | Sql.Select_join j -> execute_join ?pool t j
   | Sql.Delete { table; where } -> (
       Obs.Metrics.incr m_delete;
       match edb_for t table with
@@ -577,42 +574,14 @@ let execute_stmt t stmt =
       match edb_for t s.table with
       | None -> Error (Printf.sprintf "no such encrypted table %S" s.table)
       | Some edb -> (
-          match fetch_matching edb ?limit:s.limit s.where with
+          match fetch_matching ?pool ?view edb ?limit:s.limit s.where with
           | Error e -> Error e
           | Ok (pairs, exec) -> select_result edb s pairs exec))
 
-let execute t src =
+(* [pool] and [view] serve SELECTs only: mutations find their rows in a
+   view frozen at call time and apply sequentially. *)
+let execute ?pool ?view t src =
   Obs.Trace.with_span "proxy.execute" @@ fun () ->
   match phase h_parse "proxy.parse" (fun () -> Sql.parse src) with
   | Error e -> Error e
-  | Ok stmt -> execute_stmt t stmt
-
-(* Snapshot-read entry point: SELECTs run against a frozen epoch (the
-   given [view], or one frozen now) with the index probes and the
-   decrypt/residual-filter/LIMIT pass optionally fanned over [pool];
-   any other statement takes the normal write path — mutations are not
-   served from snapshots. A JOIN freezes its own pair of views (the
-   per-batch [view] is a single table's snapshot) in one
-   epoch-consistent step, fanning the per-bucket probes over [pool]. *)
-let execute_snapshot ?pool ?view t src =
-  Obs.Trace.with_span "proxy.execute" @@ fun () ->
-  match phase h_parse "proxy.parse" (fun () -> Sql.parse src) with
-  | Error e -> Error e
-  | Ok (Sql.Select s) -> (
-      Obs.Metrics.incr m_select;
-      match edb_for t s.table with
-      | None -> Error (Printf.sprintf "no such encrypted table %S" s.table)
-      | Some edb -> (
-          (* A caller-provided view only applies when it snapshots the
-             resolved table (multi-table batches freeze one table's
-             epoch up front); otherwise freeze this table now. *)
-          let view =
-            match view with
-            | Some v when Read_view.name v = table_name edb -> v
-            | Some _ | None -> Encrypted_db.freeze edb
-          in
-          match fetch_matching ?pool ~view edb ?limit:s.limit s.where with
-          | Error e -> Error e
-          | Ok (pairs, exec) -> select_result edb s pairs exec))
-  | Ok (Sql.Select_join j) -> execute_join ?pool t j
-  | Ok stmt -> execute_stmt t stmt
+  | Ok stmt -> execute_stmt ?pool ?view t stmt

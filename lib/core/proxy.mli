@@ -112,12 +112,28 @@ type query_result = {
           counts, stats) — [Some] for joins only *)
 }
 
-val execute : t -> string -> (query_result, string) result
+val execute :
+  ?pool:Stdx.Task_pool.t ->
+  ?view:Sqldb.Read_view.t ->
+  t ->
+  string ->
+  (query_result, string) result
 (** Parse plaintext SQL (SELECT / JOIN / INSERT / DELETE / UPDATE
     against the plaintext schema), run it through the encrypted
     database. DELETE and UPDATE decrypt and residual-filter before
     touching rows, so bucketized false positives are never deleted or
     rewritten.
+
+    Every read runs against a frozen epoch snapshot: a SELECT against
+    [view] when it snapshots the statement's table (freeze once, query
+    many), otherwise against a view frozen at call time — as do the
+    row searches of DELETE and UPDATE. [pool] fans a SELECT's per-tag
+    index probes and its decrypt/residual-filter/LIMIT pass across
+    domains; the decrypted result is identical at any domain count —
+    chunked decryption preserves row order and the LIMIT stopping
+    point, and with no pool (or a 1-domain pool) the execution is
+    byte-identical to the sequential path. Mutations ignore [pool] and
+    [view].
 
     UPDATE is atomic with respect to encryption failures: every
     replacement row is encrypted (and validated) first, and only when
@@ -130,27 +146,10 @@ val execute : t -> string -> (query_result, string) result
     after the n-th surviving row instead of decrypting the full result
     set (visible as the [edb.rows_decrypted_total] counter).
 
-    A JOIN freezes both tables' views back to back — epoch-consistent
-    under the single-writer discipline every deployment in this repo
-    maintains (the server admission queue serializes mutations) — and
-    decrypts each distinct candidate row once per side (memoized), so
-    a row appearing in many candidate pairs costs one decryption. *)
-
-val execute_snapshot :
-  ?pool:Stdx.Task_pool.t ->
-  ?view:Sqldb.Read_view.t ->
-  t ->
-  string ->
-  (query_result, string) result
-(** {!execute}, with SELECTs served from a frozen epoch snapshot: the
-    given [view] (freeze once, query many) or one frozen at call time.
-    [pool] fans the per-tag index probes and the decrypt/residual-
-    filter/LIMIT pass across domains; the decrypted result is identical
-    to {!execute} at the same epoch — chunked decryption preserves row
-    order and the LIMIT stopping point, and with no pool (or a 1-domain
-    pool) the execution is byte-identical to the sequential path.
-    A JOIN ignores [view] (a single table's snapshot) and freezes its
-    own epoch-consistent pair, fanning the per-bucket probes over
-    [pool] — same answer at any domain count. Non-SELECT statements
-    take the normal write path: mutations are never served from
-    snapshots. *)
+    A JOIN ignores [view] (a single table's snapshot) and freezes both
+    tables' views back to back — epoch-consistent under the
+    single-writer discipline every deployment in this repo maintains
+    (the server admission queue serializes mutations) — fans the
+    per-bucket probes over [pool], and decrypts each distinct candidate
+    row once per side (memoized), so a row appearing in many candidate
+    pairs costs one decryption. *)

@@ -3,8 +3,9 @@
     Sessions hand their decoded requests to a single batcher thread.
     When the batcher picks up a read it waits one {e admission window}
     for more reads to arrive, then runs the whole leading run of reads
-    as one batch — one snapshot freeze, one fan-out — while writes are
-    executed serially in arrival order, preserving the WAL discipline.
+    as one batch — one fan-out with no write inside it, so one snapshot
+    epoch — while writes are executed serially in arrival order,
+    preserving the WAL discipline.
     The module is generic over the job payload and reply so it can be
     unit-tested with fake executors, independently of the daemon.
 

@@ -2,9 +2,10 @@
 
     One accept thread, one session thread per connection, one
     {!Admission} batcher: concurrent SELECTs arriving within an
-    admission window are coalesced into a single snapshot epoch — one
-    {!Wre.Encrypted_db.freeze} per batch, fanned across a
-    {!Stdx.Task_pool} with {!Wre.Proxy.execute_snapshot} — while
+    admission window are coalesced into one batch fanned across a
+    {!Stdx.Task_pool} with {!Wre.Proxy.execute} — each query freezes
+    its own constant-size view, and no write runs inside a batch, so
+    the batch reads one epoch — while
     INSERT/UPDATE/DELETE are serialized through the engine's normal
     WAL write path. Each session owns its own {!Wre.Proxy.t} (the
     per-session client state); the engine directory stays the single

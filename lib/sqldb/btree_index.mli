@@ -1,48 +1,26 @@
-(** Non-unique B-tree index.
+(** B-tree page model over a {!Postings.t}.
 
-    Logically a sorted multimap from key values to row ids. Physically
-    it models a PostgreSQL B-tree for the pager: entries are packed
-    into 8 KiB leaf pages in key order (so equal keys are contiguous,
-    and an equality lookup touches [height] internal pages plus
-    [⌈matches / entries_per_leaf⌉] consecutive leaves), and internal
-    fanout determines the height. Sizes reported by {!size_bytes} feed
-    the Table I ciphertext-expansion experiment.
+    Logically a B-tree index is the sorted multimap {!Postings} keeps.
+    This module models its PostgreSQL layout for the pager: entries are
+    packed into 8 KiB leaf pages in key order (so equal keys are
+    contiguous, and an equality lookup touches [height] internal pages
+    plus [⌈matches / entries_per_leaf⌉] consecutive leaves), and
+    internal fanout determines the height. Sizes reported by
+    {!size_bytes} feed the Table I ciphertext-expansion experiment.
 
-    Inserts mark the index dirty; the sorted leaf layout is rebuilt
-    lazily on the next lookup (a bulk-load-then-query engine, which is
-    the paper's usage pattern). *)
+    Every function is a pure read of one postings version plus pager
+    charges, safe from any domain. *)
 
-type t
+val lookup : Pager.t -> Pager.rel -> Postings.t -> Value.t -> int array
+(** Row ids for an equality match, in insertion order; touches the
+    root-to-leaf path and the key's leaves. *)
 
-val create : Pager.t -> name:string -> t
-val name : t -> string
-val insert : t -> Value.t -> int -> unit
-
-val remove : t -> Value.t -> int -> unit
-(** Drop every entry mapping [key] to [id] (no-op when absent) and
-    shrink the entry/key-byte accounting accordingly; marks the index
-    dirty for the next lazy rebuild — the vacuum path. *)
-
-val freeze : t -> t
-(** Detached read-only copy for snapshot readers: rebuilt, deep-copied
-    group structure sharing the live index's pager rel. Lookups on the
-    copy are pure reads plus pager charges — safe from any domain. *)
-
-val lookup : t -> Value.t -> int array
-(** Row ids for an equality match; touches index pages via the pager. *)
-
-val lookup_many : t -> Value.t list -> int array
-(** OR-of-equalities: union of per-key lookups, deduplicated, in heap
-    order — the plan WRE search queries compile to. *)
-
-val range : t -> ?lo:Value.t -> ?hi:Value.t -> unit -> int array
+val range : Pager.t -> Pager.rel -> Postings.t -> ?lo:Value.t -> ?hi:Value.t -> unit -> int array
 (** Inclusive range scan over keys. *)
 
-val entry_count : t -> int
-val distinct_keys : t -> int
-val height : t -> int
-val leaf_pages : t -> int
-val page_count : t -> int
+val height : Pager.t -> Postings.t -> int
+val leaf_pages : Pager.t -> Postings.t -> int
+val page_count : Pager.t -> Postings.t -> int
 
-val size_bytes : t -> int
+val size_bytes : Pager.t -> Postings.t -> int
 (** page_count × page size. *)

@@ -31,8 +31,8 @@ let h_wall = Obs.Metrics.histogram "executor.wall_ns"
    through conjunctions. The access is a superset of the leg it serves
    (exact for a pure leg), so callers re-check the full predicate when
    the plan does not cover it alone. The planner is parameterized over
-   [index_of] so the same logic plans against a live table or a frozen
-   read view. *)
+   [index_of] so the same logic plans against a live table ([explain])
+   or a frozen read view. *)
 let rec indexable index_of p =
   match p with
   | Predicate.Eq (col, v) -> Option.map (fun idx -> (col, `Eq (idx, v))) (index_of col)
@@ -79,75 +79,17 @@ let plan_of index_of p =
           | Some [] | None -> P_seq)
       | _ -> P_seq)
 
-let table_index_of table col = Table.index_on table ~column:col
-
 let explain table p =
-  match plan_of (table_index_of table) p with
+  match plan_of (fun column -> Table.index_on table ~column) p with
   | P_index (col, _) -> Index_scan col
   | P_or pairs -> Or_index_scan (List.map fst pairs)
   | P_seq -> Seq_scan
 
-(* Sorted, deduplicated union of candidate-id arrays. *)
-let union_ids arrays =
-  let all = Array.concat arrays in
-  Array.sort (fun (a : int) b -> compare a b) all;
-  let n = Array.length all in
-  if n = 0 then all
-  else begin
-    let out = Stdx.Vec.create ~capacity:n () in
-    Array.iteri (fun i id -> if i = 0 || id <> all.(i - 1) then Stdx.Vec.push out id) all;
-    Stdx.Vec.to_array out
-  end
+let index_of view column = Read_view.index_on view ~column
 
-(* What the executor core reads, built from either a live [Table.t] or
-   a frozen [Read_view.t]: the same accessors, so planning, the
-   liveness and residual checks, projection and accounting exist once.
-   [epoch] is only known for a view — reading a live table's epoch
-   takes its writer lock. *)
-type source = {
-  schema : Schema.t;
-  pager : Pager.t;
-  epoch : int option;
-  live_count : int;
-  row_count : int;
-  index_on : string -> Table_index.t option;
-  scan : (int -> Value.t array -> unit) -> unit;
-  is_live : int -> bool;
-  peek_row : int -> Value.t array;
-  read_row : int -> Value.t array;
-}
-
-let of_table t =
-  {
-    schema = Table.schema t;
-    pager = Table.pager t;
-    epoch = None;
-    live_count = Table.live_count t;
-    row_count = Table.row_count t;
-    index_on = table_index_of t;
-    scan = Table.scan t;
-    is_live = Table.is_live t;
-    peek_row = Table.peek_row t;
-    read_row = Table.read_row t;
-  }
-
-let of_view v =
-  {
-    schema = Read_view.schema v;
-    pager = Read_view.pager v;
-    epoch = Some (Read_view.epoch v);
-    live_count = Read_view.live_count v;
-    row_count = Read_view.row_count v;
-    index_on = (fun column -> Read_view.index_on v ~column);
-    scan = Read_view.scan v;
-    is_live = Read_view.is_live v;
-    peek_row = Read_view.peek_row v;
-    read_row = Read_view.read_row v;
-  }
-
-let seq_scan src =
+let seq_scan view =
   let acc = Stdx.Vec.create () in
-  src.scan (fun id _row -> Stdx.Vec.push acc id);
+  Read_view.scan view (fun id _row -> Stdx.Vec.push acc id);
   (Seq_scan, Stdx.Vec.to_array acc)
 
 (* [Task_pool.map_array] with exact per-query pager accounting: every
@@ -177,7 +119,7 @@ let fan_out ?pool workers xs f =
    do not depend on how probes are scheduled. An access that fails at
    run time (range over a hash index) sends the query to a sequential
    scan. *)
-let index_candidates ?pool src p workers =
+let index_candidates ?pool view p workers =
   let probes_of : access -> (unit -> int array option) list = function
     | `Eq (idx, v) -> [ (fun () -> Some (Table_index.lookup idx v)) ]
     | `In (idx, vs) -> List.map (fun v () -> Some (Table_index.lookup idx v)) vs
@@ -185,14 +127,14 @@ let index_candidates ?pool src p workers =
   in
   let run_probes kind probes ~union =
     let outcomes = fan_out ?pool workers (Array.of_list probes) (fun probe -> probe ()) in
-    if Array.exists Option.is_none outcomes then seq_scan src
+    if Array.exists Option.is_none outcomes then seq_scan view
     else
       match Array.to_list (Array.map Option.get outcomes) with
       | [ ids ] when not union -> (kind, ids)
-      | id_arrays -> (kind, union_ids id_arrays)
+      | id_arrays -> (kind, Table_index.union_ids id_arrays)
   in
   let plan, ids =
-    match plan_of src.index_on p with
+    match plan_of (index_of view) p with
     | P_index (col, access) ->
         run_probes (Index_scan col) (probes_of access)
           ~union:(match access with `In _ -> true | `Eq _ | `Range _ -> false)
@@ -201,7 +143,7 @@ let index_candidates ?pool src p workers =
           (Or_index_scan (List.map fst pairs))
           (List.concat_map (fun (_, access) -> probes_of access) pairs)
           ~union:true
-    | P_seq -> seq_scan src
+    | P_seq -> seq_scan view
   in
   (plan, ids, [])
 
@@ -216,19 +158,19 @@ let plan_label = function
    the visibility check, the residual re-check, projection and
    transfer charges, the per-query pager window, plan counters and the
    [executor.plan] trace event. *)
-let execute ~span src ~projection p candidates =
+let execute ~span view ~projection p candidates =
   Obs.Metrics.incr m_queries;
   Obs.Trace.with_span span @@ fun () ->
   let before = Pager.local_stats () in
   let t0 = Stdx.Clock.now_ns () in
-  let eval = Predicate.compile src.schema p in
+  let eval = Predicate.compile (Read_view.schema view) p in
   let workers = ref Pager.zero_stats in
   let plan, candidate_ids, extra_attrs = candidates workers in
   (* Index entries may point at tombstoned tuples; drop them (the
      visibility check a real executor performs). *)
   let candidate_ids =
-    if src.live_count = src.row_count then candidate_ids
-    else Array.of_list (List.filter src.is_live (Array.to_list candidate_ids))
+    if Read_view.live_count view = Read_view.row_count view then candidate_ids
+    else Array.of_list (List.filter (Read_view.is_live view) (Array.to_list candidate_ids))
   in
   (* Residual filter. Index results are checked against the full
      predicate; for a pure index leg this is a no-op re-check on peeked
@@ -245,16 +187,17 @@ let execute ~span src ~projection p candidates =
   in
   let row_ids =
     if needs_filter then
-      Array.of_list (List.filter (fun id -> eval (src.peek_row id)) (Array.to_list candidate_ids))
+      Array.of_list
+        (List.filter (fun id -> eval (Read_view.peek_row view id)) (Array.to_list candidate_ids))
     else candidate_ids
   in
   let rows =
     match projection with
     | Row_ids ->
         (* Returning ids still ships ~8 bytes per hit across the wire. *)
-        Pager.charge_transfer src.pager (8 * Array.length row_ids);
+        Pager.charge_transfer (Read_view.pager view) (8 * Array.length row_ids);
         [||]
-    | All_columns -> Array.map src.read_row row_ids
+    | All_columns -> Array.map (Read_view.read_row view) row_ids
   in
   let wall_ns = Stdx.Clock.now_ns () -. t0 in
   let stats = Pager.sum_stats (Pager.diff_stats before (Pager.local_stats ())) !workers in
@@ -269,8 +212,7 @@ let execute ~span src ~projection p candidates =
   if Obs.Trace.is_enabled () then
     Obs.Trace.event "executor.plan"
       ~attrs:
-        ((("plan", plan_label plan)
-         :: (match src.epoch with Some e -> [ ("epoch", string_of_int e) ] | None -> []))
+        ((("plan", plan_label plan) :: [ ("epoch", string_of_int (Read_view.epoch view)) ])
         @ extra_attrs
         @ [
             ("candidates", string_of_int (Array.length candidate_ids));
@@ -278,50 +220,46 @@ let execute ~span src ~projection p candidates =
           ]);
   { row_ids; rows; plan; wall_ns; stats }
 
-let run table ~projection p =
-  let src = of_table table in
-  execute ~span:"executor.run" src ~projection p (index_candidates src p)
-
 (* The two-table plan: delegate to [Join], which owns bucket fan-out,
    pair normalization and the join.* metrics. Kept behind the executor
    so planning stays one surface. *)
 let run_join = Join.run
 
-(* Snapshot-read path: the same core against a frozen [Read_view.t],
-   with the per-tag probes of multi-key plans (the IN-list of a
-   rewritten WRE query, the legs of a server-side OR) optionally
-   fanned across a task pool. Probe results combine index-ordered and
-   unions sort + dedup, so [row_ids]/[rows] do not depend on
-   scheduling; with no pool (or a 1-domain pool) the probes run in the
-   order [run] issues them, making the two byte-identical. Pager
-   counts are scheduling-independent too: the set of page touches is
-   fixed by the plan, and the pager's atomic accounting turns each
-   distinct page into exactly one miss whichever domain gets there
-   first. *)
+(* The read path: the core against a frozen [Read_view.t], with the
+   per-tag probes of multi-key plans (the IN-list of a rewritten WRE
+   query, the legs of a server-side OR) optionally fanned across a task
+   pool. Probe results combine index-ordered and unions sort + dedup,
+   so [row_ids]/[rows] do not depend on scheduling; with no pool (or a
+   1-domain pool) the probes run in list order. Pager counts are
+   scheduling-independent too: the set of page touches is fixed by the
+   plan, and the pager's atomic accounting turns each distinct page
+   into exactly one miss whichever domain gets there first. *)
 let run_view ?pool view ~projection p =
-  let src = of_view view in
-  execute ~span:"executor.run_view" src ~projection p (index_candidates ?pool src p)
+  execute ~span:"executor.run_view" view ~projection p (index_candidates ?pool view p)
+
+(* A freeze costs O(number of indexes), so a read of the live table is
+   a read of a view taken now. *)
+let run table ~projection p = run_view (Table.freeze table) ~projection p
 
 (* The ESEDS range plan (DESIGN.md §5k): the query ships the canonical
    cover of a range as O(log B) encrypted-tree roots; the server
    expands each root through [Range_tree.traverse] to its leaf bucket
    tags and probes the rtag index. One task per subtree root fans
    across the pool; each root's probe set is a sorted+deduplicated
-   lookup and roots combine through [union_ids], so the candidate set —
-   and hence [row_ids]/[rows] — is byte-identical at any domain count,
-   the same determinism contract as [run_view]. The core re-checks
+   lookup and roots combine through [Table_index.union_ids], so the
+   candidate set — and hence [row_ids]/[rows] — is byte-identical at
+   any domain count, the same determinism contract as [run_view]. The core re-checks
    candidates against the full server predicate, which both filters
    conjunctive companions and keeps the traversal interchangeable with
    the flat tag IN-list plan. *)
 let run_traverse ?pool view ~tree ~tag_column ~roots ~projection p =
-  let src = of_view view in
-  execute ~span:"executor.run_traverse" src ~projection p @@ fun workers ->
+  execute ~span:"executor.run_traverse" view ~projection p @@ fun workers ->
   let plan, ids, visited, leaves =
-    match src.index_on tag_column with
+    match index_of view tag_column with
     | None ->
         (* No rtag index on this view: degrade to a sequential scan;
            the core re-checks the predicate over every row. *)
-        let plan, ids = seq_scan src in
+        let plan, ids = seq_scan view in
         (plan, ids, 0, 0)
     | Some idx ->
         let outcomes =
@@ -338,7 +276,7 @@ let run_traverse ?pool view ~tree ~tag_column ~roots ~projection p =
         let visited = Array.fold_left (fun acc (_, v, _) -> acc + v) 0 outcomes in
         let leaves = Array.fold_left (fun acc (_, _, l) -> acc + l) 0 outcomes in
         ( Range_traverse tag_column,
-          union_ids (Array.to_list (Array.map (fun (ids, _, _) -> ids) outcomes)),
+          Table_index.union_ids (Array.to_list (Array.map (fun (ids, _, _) -> ids) outcomes)),
           visited,
           leaves )
   in

@@ -14,14 +14,14 @@
     server-side OR of tag IN-lists); anything else is a sequential
     scan.
 
-    {!run}, {!run_view} and {!run_traverse} differ only in where their
-    candidate ids come from; one shared core does the rest — the
+    Every query reads a frozen {!Read_view.t}; {!run} freezes the
+    table first. {!run_view} and {!run_traverse} differ only in where
+    their candidate ids come from; one shared core does the rest — the
     visibility check, the residual re-check, projection, the per-query
     pager window, and the process-wide [Obs.Metrics] feed (plan
     counts, candidate/returned rows, a wall-time histogram). When
-    tracing is on, each run emits an [executor.run] /
-    [executor.run_view] / [executor.run_traverse] span with an
-    [executor.plan] event. *)
+    tracing is on, each run emits an [executor.run_view] /
+    [executor.run_traverse] span with an [executor.plan] event. *)
 
 type projection =
   | Row_ids  (** SELECT ID *)
@@ -49,9 +49,8 @@ val explain : Table.t -> Predicate.t -> plan_kind
 (** The plan that {!run} would choose, without executing. *)
 
 val run : Table.t -> projection:projection -> Predicate.t -> result
-(** Execute against the live table, on the calling domain, with no
-    writer running — index lookups may lazily rebuild a B-tree. Readers
-    on several domains take {!run_view} over a {!Table.freeze}. *)
+(** [run_view (Table.freeze table)]: the table as of now, safe from any
+    domain and alongside writers. *)
 
 val run_join :
   ?pool:Stdx.Task_pool.t ->
@@ -69,7 +68,7 @@ val run_join :
     the sequential run at 1 domain. *)
 
 val run_view : ?pool:Stdx.Task_pool.t -> Read_view.t -> projection:projection -> Predicate.t -> result
-(** {!run} against a frozen epoch snapshot ({!Table.freeze}), safe to
+(** Execute against a frozen epoch snapshot ({!Table.freeze}), safe to
     call from any domain. When [pool] is given, the per-tag index
     probes of multi-key plans (rewritten WRE IN-lists, server-side OR
     legs) fan out across its domains; results are combined in index

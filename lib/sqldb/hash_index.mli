@@ -1,4 +1,5 @@
-(** Non-unique hash index (PostgreSQL [USING hash] model).
+(** Hash-index page model over a {!Postings.t} (PostgreSQL
+    [USING hash]).
 
     WRE search tags are uniformly random 64-bit integers queried only
     by equality — precisely the workload hash indexes exist for: O(1)
@@ -10,29 +11,12 @@
     Physical model: directory of bucket pages sized for ~75% fill;
     a lookup hashes the key, touches its bucket page (plus chained
     overflow pages when a bucket outgrows one page), then the executor
-    fetches heap rows as usual. *)
+    fetches heap rows as usual. Every function is a pure read of one
+    postings version plus pager charges, safe from any domain. *)
 
-type t
+val lookup : Pager.t -> Pager.rel -> Postings.t -> Value.t -> int array
+(** Row ids for an equality match, in insertion order; touches bucket
+    (+overflow) pages. *)
 
-val create : Pager.t -> name:string -> t
-val name : t -> string
-val insert : t -> Value.t -> int -> unit
-
-val remove : t -> Value.t -> int -> unit
-(** Drop every entry mapping [key] to [id] (no-op when absent), so
-    entry counts and the derived bucket-page/byte accounting shrink
-    back to the live rows — the vacuum path. *)
-
-val freeze : t -> t
-(** Detached read-only copy for snapshot readers (see {!Btree_index.freeze}). *)
-
-val lookup : t -> Value.t -> int array
-(** Row ids for an equality match; touches bucket (+overflow) pages. *)
-
-val lookup_many : t -> Value.t list -> int array
-(** Union of per-key lookups, deduplicated. *)
-
-val entry_count : t -> int
-val distinct_keys : t -> int
-val bucket_pages : t -> int
-val size_bytes : t -> int
+val bucket_pages : Pager.t -> Postings.t -> int
+val size_bytes : Pager.t -> Postings.t -> int

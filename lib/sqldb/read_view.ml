@@ -1,13 +1,16 @@
-(* An immutable point-in-time view of one table: the copy-on-write
-   snapshot a reader domain works against while writers keep mutating
-   the live table. The columnar storage is shared with the table by
-   pointer — per-column value backings are append-only (vacuum
+(* An immutable point-in-time view of one table: the snapshot a reader
+   domain works against while writers keep mutating the live table.
+   Nothing is copied. The per-slot vectors are shared with the table by
+   pointer — value, page and size backings are append-only (vacuum
    replaces them wholesale instead of mutating shared slots), so
-   everything below a frozen length is immutable forever —
-   while the visibility bitmap is copied, so no later insert/delete/
-   vacuum/checkpoint is observable through the view. Built by
-   [Table.freeze] under the table's writer lock; every accessor here is
-   a pure read plus pager charges, safe to call from any domain. *)
+   everything below a frozen length is immutable forever. The one
+   backing the table writes in place is [xmax], and only to store a
+   delete epoch above this view's, which reads as live here either way.
+   Indexes are persistent postings versions captured at freeze time.
+   So no later insert/delete/vacuum/checkpoint is observable through
+   the view. Built by [Table.freeze] under the table's writer lock;
+   every accessor here is a pure read plus pager charges, safe to call
+   from any domain. *)
 
 type t = {
   epoch : int;
@@ -17,7 +20,7 @@ type t = {
   heap_rel : Pager.rel;
   cols : Value.t array array;  (* shared backings; only the first [n] slots of each are ours *)
   n : int;  (* heap slots at freeze time; shared backings may be longer *)
-  live : bool array;  (* copied: the table tombstones in place *)
+  xmax : int array;  (* shared backing: a row is live here iff its xmax > epoch *)
   row_pages : int array;  (* shared backing *)
   row_sizes : int array;  (* shared backing; physical tuple bytes *)
   n_dead : int;
@@ -30,13 +33,13 @@ type t = {
   rm_data_bytes : int;
   reclaimed : Value.t array; (* physical sentinel for vacuumed slots *)
   row_bytes : Value.t array -> int; (* logical tuple size, for transfer charges *)
-  indexes : (string * Table_index.t) list; (* frozen copies, sorted by column *)
+  indexes : (string * Table_index.t) list; (* frozen versions, sorted by column *)
 }
 
-let make ~epoch ~name ~schema ~pager ~heap_rel ~cols ~n ~live ~row_pages ~row_sizes ~n_dead
+let make ~epoch ~name ~schema ~pager ~heap_rel ~cols ~n ~xmax ~row_pages ~row_sizes ~n_dead
     ~cur_page ~cur_fill ~data_bytes ~live_bytes ~rm_cur_page ~rm_cur_fill ~rm_data_bytes
     ~reclaimed ~row_bytes ~indexes =
-  { epoch; name; schema; pager; heap_rel; cols; n; live; row_pages; row_sizes; n_dead;
+  { epoch; name; schema; pager; heap_rel; cols; n; xmax; row_pages; row_sizes; n_dead;
     cur_page; cur_fill; data_bytes; live_bytes; rm_cur_page; rm_cur_fill; rm_data_bytes;
     reclaimed; row_bytes; indexes }
 
@@ -56,7 +59,7 @@ let check t id =
 
 let is_live t id =
   check t id;
-  t.live.(id)
+  t.xmax.(id) > t.epoch
 
 let n_cols t = Array.length t.cols
 
@@ -87,7 +90,7 @@ let scan t f =
       Pager.touch t.pager t.heap_rel page;
       last_page := page
     end;
-    if t.live.(id) then f id (peek_row t id)
+    if t.xmax.(id) > t.epoch then f id (peek_row t id)
   done;
   Pager.charge_rows t.pager t.n
 

@@ -4,12 +4,16 @@
     lock; afterwards every accessor is a pure read plus pager charges,
     so any number of reader domains can query the view while writers
     keep mutating the live table — readers never block writers and
-    vice versa. The columnar storage (one value array per column) is
-    shared by pointer — safe because those arrays are append-only,
-    with vacuum swapping in fresh backings instead of mutating shared
-    slots — while the visibility bitmap and index structures are
-    copied, so later mutations — including vacuum and checkpoint — are
-    invisible through the view. *)
+    vice versa. A view is a constant-size record: it shares the
+    table's per-slot arrays (column values, pages, sizes, delete
+    epochs) by pointer and holds each index's persistent postings
+    version, so freezing costs the same at any table size. Later
+    mutations — including vacuum and checkpoint — are invisible
+    through the view: value, page and size arrays are append-only
+    (vacuum swaps in fresh ones), an index insert makes a new postings
+    version, and a row counts as live iff its delete epoch ([xmax]) is
+    above the view's epoch, so a delete after the freeze never
+    shows. *)
 
 type t
 
@@ -21,7 +25,7 @@ val make :
   heap_rel:Pager.rel ->
   cols:Value.t array array ->
   n:int ->
-  live:bool array ->
+  xmax:int array ->
   row_pages:int array ->
   row_sizes:int array ->
   n_dead:int ->
@@ -69,7 +73,7 @@ val scan : t -> (int -> Value.t array -> unit) -> unit
     rows only, charges every slot examined. *)
 
 val index_on : t -> column:string -> Table_index.t option
-(** Frozen index copy for [column], if one existed at freeze time. *)
+(** The index on [column] as of the freeze, if one existed then. *)
 
 val indexes : t -> (string * Table_index.t) list
 

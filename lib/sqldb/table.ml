@@ -1,7 +1,6 @@
-(* lint: guarded-by writer — every mutable field below except the
-   Atomic [writer_holder] is read and written only while [writer] is
-   held (mutations run inside [mutate]; [epoch]/[freeze] take the lock
-   to read). *)
+(* lint: guarded-by writer — every mutable field below is read and
+   written only while [writer] is held (mutations run inside [mutate];
+   [epoch]/[freeze] take the lock to read). *)
 
 type t = {
   name : string;
@@ -11,8 +10,11 @@ type t = {
   mutable cols : Value.t Stdx.Vec.t array;
       (* one per schema column, one value per heap slot ([Null] once
          reclaimed). Append-only between vacuums; vacuum swaps in fresh
-         vectors so frozen views keep the old backings. *)
-  live : bool Stdx.Vec.t;
+         vectors so read views keep the old backings. *)
+  xmax : int Stdx.Vec.t;
+      (* per heap slot: [max_int] while the row is live, otherwise the
+         epoch of its delete. Written in place — see [delete_unlocked]
+         for why read views sharing the backing may race with it. *)
   mutable row_pages : int Stdx.Vec.t;
   mutable row_sizes : int Stdx.Vec.t;  (* physical tuple bytes per slot; 0 marks a reclaimed slot *)
   mutable n_dead : int;
@@ -29,41 +31,29 @@ type t = {
   mutable rm_data_bytes : int;
   indexes : (string, Table_index.t) Hashtbl.t;
   mutable journal : Journal.hook option;
-  (* Epoch-based copy-on-write reads: every mutation runs under
-     [writer], bumps [epoch] and invalidates the cached frozen view;
-     [freeze] rebuilds it at most once per epoch. Readers work against
-     the returned [Read_view.t] without taking any lock. *)
+  (* Epoch-based snapshot reads: every mutation runs under [writer]
+     and bumps [epoch]; [freeze] captures the current backings,
+     counters and index versions under the same lock. Readers work
+     against the returned [Read_view.t] without taking any lock. *)
   writer : Mutex.t;
-  writer_holder : int Atomic.t;
-      (* Domain id currently inside [mutate], -1 when free. An Atomic —
-         [freeze]/[epoch] read it from arbitrary domains without the
-         lock to detect a reentrant call from the journal hook (the
-         storage engine's auto-checkpoint) instead of deadlocking on
-         the non-reentrant mutex. *)
   mutable epoch : int;
-  mutable frozen : Read_view.t option;
 }
 
 let set_journal t hook = t.journal <- hook
 let emit t m = match t.journal with None -> () | Some hook -> hook m
 
-(* Run a mutation under the writer lock: publish a new epoch and drop
-   the cached view so the next [freeze] sees the new state. Journal
-   hooks fire inside the critical section — the storage engine's WAL
-   append stays ordered with the mutation it records. *)
-let self_id () = (Domain.self () :> int)
-
-let mutate t f =
+(* Run [f] under the writer lock. Journal hooks fire inside the
+   critical section — the storage engine's WAL append stays ordered
+   with the mutation it records. *)
+let locked t f =
   Mutex.lock t.writer;
-  Atomic.set t.writer_holder (self_id ());
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set t.writer_holder (-1);
-      Mutex.unlock t.writer)
-    (fun () ->
-      t.epoch <- t.epoch + 1;
-      t.frozen <- None;
-      f ())
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.writer) f
+
+(* A mutation publishes a new epoch. *)
+let mutate t f =
+  locked t @@ fun () ->
+  t.epoch <- t.epoch + 1;
+  f ()
 
 let page_header = 24
 let row_tuple_header = 24 (* row-format shadow: full header + null bitmap *)
@@ -78,7 +68,7 @@ let create pager ~name ~schema =
     pager;
     heap_rel = Pager.make_rel pager ~name:(name ^ ".heap");
     cols = Array.map (fun (_ : Schema.column) -> Stdx.Vec.create ()) (Schema.columns schema);
-    live = Stdx.Vec.create ();
+    xmax = Stdx.Vec.create ();
     row_pages = Stdx.Vec.create ();
     row_sizes = Stdx.Vec.create ();
     n_dead = 0;
@@ -92,9 +82,7 @@ let create pager ~name ~schema =
     indexes = Hashtbl.create 4;
     journal = None;
     writer = Mutex.create ();
-    writer_holder = Atomic.make (-1);
     epoch = 0;
-    frozen = None;
   }
 
 let name t = t.name
@@ -112,9 +100,9 @@ let tuple_bytes schema row =
   let null_bitmap = if Array.exists (fun v -> v = Value.Null) row then (Schema.arity schema + 7) / 8 else 0 in
   row_tuple_header + line_pointer + maxalign (data + null_bitmap)
 
-let row_count t = Stdx.Vec.length t.live
+let row_count t = Stdx.Vec.length t.xmax
 let live_count t = row_count t - t.n_dead
-let is_live t id = Stdx.Vec.get t.live id
+let is_live t id = Stdx.Vec.get t.xmax id = max_int
 
 (* Shared sentinel for vacuumed-away tuples: physical identity
    distinguishes it from any real row (all empty arrays are the same
@@ -152,10 +140,10 @@ let append_row t row =
   end;
   t.rm_cur_fill <- t.rm_cur_fill + rm;
   t.rm_data_bytes <- t.rm_data_bytes + rm;
-  let id = Stdx.Vec.length t.live in
+  let id = Stdx.Vec.length t.xmax in
   Stdx.Vec.push t.row_pages t.cur_page;
   Stdx.Vec.push t.row_sizes bytes;
-  Stdx.Vec.push t.live true;
+  Stdx.Vec.push t.xmax max_int;
   id
 
 (* Index column positions, resolved once per call instead of once per
@@ -188,7 +176,7 @@ let insert_batch t rows =
     rows;
   mutate t @@ fun () ->
   let positions = index_positions t in
-  let first = Stdx.Vec.length t.live in
+  let first = row_count t in
   Array.iter
     (fun row ->
       let id = append_row t row in
@@ -203,9 +191,17 @@ let insert_batch t rows =
          });
   first
 
+(* The tombstone is stored into the backing read views share. A view
+   taken at epoch [e] treats the row as live iff its [xmax] exceeds
+   [e], and a delete racing with that view's readers runs at an epoch
+   above [e] (the view was taken before this mutation took the lock).
+   So a racing reader sees either [max_int] or the new epoch — both
+   above [e], both "live" — and deletes from before the freeze were
+   published by the lock. Every value a reader can observe gives the
+   same answer. *)
 let delete_unlocked t id =
-  if Stdx.Vec.get t.live id then begin
-    Stdx.Vec.set t.live id false;
+  if is_live t id then begin
+    Stdx.Vec.set t.xmax id t.epoch;
     t.n_dead <- t.n_dead + 1;
     (* Dead tuples keep their heap storage until vacuum, but stop
        counting toward the live-byte totals that [avg_row_bytes]
@@ -220,30 +216,8 @@ let delete t id = mutate t (fun () -> delete_unlocked t id)
 
 let row_page t id = Stdx.Vec.get t.row_pages id
 
-let read_row t id =
-  let row = peek_row t id in
-  Pager.touch t.pager t.heap_rel (row_page t id);
-  Pager.charge_rows t.pager 1;
-  Pager.charge_transfer t.pager (tuple_bytes t.schema row);
-  row
-
-let scan t f =
-  let n = row_count t in
-  let last_page = ref (-1) in
-  for id = 0 to n - 1 do
-    (* Dead tuples still cost a page visit (they occupy the heap until
-       vacuumed) but are not surfaced. *)
-    let page = Stdx.Vec.get t.row_pages id in
-    if page <> !last_page then begin
-      Pager.touch t.pager t.heap_rel page;
-      last_page := page
-    end;
-    if Stdx.Vec.get t.live id then f id (peek_row t id)
-  done;
-  Pager.charge_rows t.pager n
-
 let update t id row =
-  if not (Stdx.Vec.get t.live id) then
+  if not (is_live t id) then
     invalid_arg (Printf.sprintf "Table.update(%s): row %d is dead" t.name id);
   (match Schema.validate_row t.schema row with
   | Ok () -> ()
@@ -252,17 +226,24 @@ let update t id row =
   ignore (delete_unlocked t id);
   insert_unlocked t row
 
+(* Enter every stored tuple into [idx], in row-id order. Dead-but-
+   unvacuumed tuples are indexed (as live tables do); reclaimed slots
+   have no values to index. *)
+let index_rows t idx col_pos =
+  for id = 0 to row_count t - 1 do
+    if not (is_reclaimed_slot t id) then Table_index.insert idx (value_at t col_pos id) id
+  done
+
 let vacuum t =
   mutate t @@ fun () ->
   if t.n_dead > 0 then begin
-    let positions = index_positions t in
     let n = row_count t in
-    (* Repack the heap into fresh vectors, so frozen views keep the old
+    (* Repack the heap into fresh vectors, so read views keep the old
        backings: live tuples get a new page assignment (keeping the
-       physical size recorded at insert); newly dead ones drop their
-       index entries and become reclaimed slots — [Null] cells, size 0.
-       Row ids are stable, and a dead id inherits the current page so
-       scans touch no extra pages on its account. *)
+       physical size recorded at insert); dead ones become reclaimed
+       slots — [Null] cells, size 0. Row ids are stable, and a dead id
+       inherits the current page so scans touch no extra pages on its
+       account. *)
     let cols' = Array.map (fun _ -> Stdx.Vec.create ()) t.cols in
     let pages' = Stdx.Vec.create () in
     let sizes' = Stdx.Vec.create () in
@@ -275,7 +256,7 @@ let vacuum t =
     t.rm_data_bytes <- 0;
     let usable = (Pager.config t.pager).page_size - page_header in
     for id = 0 to n - 1 do
-      if Stdx.Vec.get t.live id then begin
+      if is_live t id then begin
         let bytes = Stdx.Vec.get t.row_sizes id in
         if t.cur_fill + bytes > usable && t.cur_fill > 0 then begin
           t.cur_page <- t.cur_page + 1;
@@ -295,8 +276,6 @@ let vacuum t =
         Stdx.Vec.push sizes' bytes
       end
       else begin
-        if not (is_reclaimed_slot t id) then
-          List.iter (fun (pos, idx) -> Table_index.remove idx (value_at t pos id) id) positions;
         Array.iter (fun col -> Stdx.Vec.push col Value.Null) cols';
         Stdx.Vec.push sizes' 0
       end;
@@ -305,6 +284,13 @@ let vacuum t =
     t.cols <- cols';
     t.row_pages <- pages';
     t.row_sizes <- sizes';
+    (* Only live rows have values left: every index is rebuilt from
+       them, so the entries of the dead ones are gone. *)
+    List.iter
+      (fun (pos, idx) ->
+        Table_index.clear idx;
+        index_rows t idx pos)
+      (index_positions t);
     emit t (Journal.Vacuumed { table = t.name })
   end
 
@@ -313,13 +299,8 @@ let create_index ?(kind = Table_index.Btree) t ~column =
   match Hashtbl.find_opt t.indexes column with
   | Some idx -> idx
   | None ->
-      let col_pos = Schema.column_index t.schema column in
       let idx = Table_index.create kind t.pager ~name:(t.name ^ "." ^ column ^ ".idx") in
-      for id = 0 to row_count t - 1 do
-        (* Dead-but-unvacuumed tuples are indexed (as live tables do);
-           reclaimed slots have no values to index. *)
-        if not (is_reclaimed_slot t id) then Table_index.insert idx (value_at t col_pos id) id
-      done;
+      index_rows t idx (Schema.column_index t.schema column);
       Hashtbl.replace t.indexes column idx;
       emit t (Journal.Created_index { table = t.name; column; kind });
       idx
@@ -341,55 +322,26 @@ let avg_row_bytes t =
 let row_model_pages t = if t.rm_data_bytes = 0 then 0 else t.rm_cur_page + 1
 let row_model_bytes t = row_model_pages t * page_size t
 
-let epoch t =
-  if Atomic.get t.writer_holder = self_id () then t.epoch
-  else begin
-    Mutex.lock t.writer;
-    let e = t.epoch in
-    Mutex.unlock t.writer;
-    e
-  end
+let epoch t = locked t (fun () -> t.epoch)
 
-let build_view t =
-  let n = row_count t in
+(* Publish the current epoch as an immutable read view: the backings
+   of every per-slot vector (shared, see Read_view), the counters and
+   each index's current postings version. Nothing is copied, so the
+   cost does not depend on the table's size. *)
+let freeze t =
+  locked t @@ fun () ->
   let cols = Array.map (fun col -> fst (Stdx.Vec.backing col)) t.cols in
+  let xmax, n = Stdx.Vec.backing t.xmax in
   let row_pages, _ = Stdx.Vec.backing t.row_pages in
   let row_sizes, _ = Stdx.Vec.backing t.row_sizes in
   Read_view.make ~epoch:t.epoch ~name:t.name ~schema:t.schema ~pager:t.pager ~heap_rel:t.heap_rel
-    ~cols ~n
-    ~live:(Array.init n (Stdx.Vec.get t.live))
-    ~row_pages ~row_sizes ~n_dead:t.n_dead ~cur_page:t.cur_page ~cur_fill:t.cur_fill
+    ~cols ~n ~xmax ~row_pages ~row_sizes ~n_dead:t.n_dead ~cur_page:t.cur_page ~cur_fill:t.cur_fill
     ~data_bytes:t.data_bytes ~live_bytes:t.live_bytes ~rm_cur_page:t.rm_cur_page
     ~rm_cur_fill:t.rm_cur_fill ~rm_data_bytes:t.rm_data_bytes ~reclaimed
     ~row_bytes:(fun row -> tuple_bytes t.schema row)
     ~indexes:
       (Hashtbl.fold (fun col idx acc -> (col, Table_index.freeze idx) :: acc) t.indexes []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
-
-(* Publish the current epoch as an immutable read view. Cached: the
-   copy (one visibility bitmap plus index freezes — the columnar
-   storage itself is shared by pointer, see Read_view) happens at most
-   once per epoch, and only when a reader actually asks. *)
-let freeze t =
-  if Atomic.get t.writer_holder = self_id () then
-    (* Reentrant call from inside this domain's own mutation — the
-       journal hook triggering the storage engine's auto-checkpoint.
-       Each hook fires right after its mutation is applied, so the
-       state is exactly the WAL prefix through the record being
-       logged. Skip the cache: a compound mutation (update = delete +
-       insert) may not be finished, so this view must not be served to
-       later same-epoch readers. *)
-    build_view t
-  else begin
-    Mutex.lock t.writer;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.writer) @@ fun () ->
-    match t.frozen with
-    | Some v -> v
-    | None ->
-        let v = build_view t in
-        t.frozen <- Some v;
-        v
-  end
 
 (* Physical snapshot: the exact columnar heap state, including
    tombstones and reclaimed slots, so a restored table is
@@ -413,7 +365,7 @@ type snapshot = {
   s_indexes : (string * Table_index.kind) list;
 }
 
-(* Serialize a frozen view. Runs entirely off the writer lock, so a
+(* Serialize a read view. Runs entirely off the writer lock, so a
    checkpoint can serialize a multi-second snapshot while writers (and
    other readers) proceed against newer epochs. *)
 let snapshot_of_view v =
@@ -443,7 +395,9 @@ let of_snapshot pager s =
   t.cols <- Array.map Stdx.Vec.of_array s.s_cols;
   let n_dead = ref 0 in
   for id = 0 to n - 1 do
-    Stdx.Vec.push t.live s.s_live.(id);
+    (* A dead row's delete epoch only has to be at or below every epoch
+       the restored table will publish (it restarts at 0). *)
+    Stdx.Vec.push t.xmax (if s.s_live.(id) then max_int else 0);
     Stdx.Vec.push t.row_pages s.s_row_pages.(id);
     Stdx.Vec.push t.row_sizes s.s_row_sizes.(id);
     if not s.s_live.(id) then incr n_dead
@@ -461,11 +415,8 @@ let of_snapshot pager s =
      [create_index] so no journal events fire during restore. *)
   List.iter
     (fun (column, kind) ->
-      let col_pos = Schema.column_index t.schema column in
       let idx = Table_index.create kind t.pager ~name:(t.name ^ "." ^ column ^ ".idx") in
-      for id = 0 to n - 1 do
-        if not (is_reclaimed_slot t id) then Table_index.insert idx (value_at t col_pos id) id
-      done;
+      index_rows t idx (Schema.column_index t.schema column);
       Hashtbl.replace t.indexes column idx)
     s.s_indexes;
   t

@@ -10,7 +10,13 @@
     matching one search tag were inserted at random times, so fetching
     them touches that many distinct heap pages. Simulated query costs
     are layout-independent — read/transfer charges use the logical
-    (row-format) tuple size throughout. *)
+    (row-format) tuple size throughout.
+
+    Every read goes through a {!Read_view.t} from {!freeze}, which is
+    O(number of indexes): deletes are recorded as per-row delete
+    epochs rather than cleared flags, and indexes keep persistent
+    postings, so a view shares everything with the table and copies
+    nothing. *)
 
 type t
 
@@ -54,16 +60,11 @@ val update : t -> int -> Value.t array -> int
     grows the heap and every index by one entry. *)
 
 val vacuum : t -> unit
-(** Reclaim dead tuples: drop their index entries (so [entry_count]
-    and [size_bytes] shrink back to the live rows), drop their values,
-    and repack live tuples onto a fresh page assignment. Row ids are stable — dead ids stay dead and
+(** Reclaim dead tuples: rebuild every index from the live rows (so
+    [entry_count] and [size_bytes] shrink back to them), drop the dead
+    rows' values, and repack live tuples onto a fresh page assignment. Row ids are stable — dead ids stay dead and
     [peek_row] on them returns an empty row afterwards. No-op when
     nothing is dead. *)
-
-val read_row : t -> int -> Value.t array
-(** Fetch through the pager (touches the row's heap page and charges
-    CPU + transfer at the logical row-format tuple size); out-of-range
-    ids raise [Invalid_argument]. *)
 
 val peek_row : t -> int -> Value.t array
 (** Materialize from the column vectors without cost accounting
@@ -71,10 +72,6 @@ val peek_row : t -> int -> Value.t array
 
 val row_page : t -> int -> int
 (** Heap page number holding a row. *)
-
-val scan : t -> (int -> Value.t array -> unit) -> unit
-(** Full sequential scan: touches every heap page once and charges CPU
-    per row. *)
 
 val create_index : ?kind:Table_index.kind -> t -> column:string -> Table_index.t
 (** Build (or return the existing) index on a column, backfilling
@@ -93,13 +90,13 @@ val epoch : t -> int
     index creation. *)
 
 val freeze : t -> Read_view.t
-(** Publish the current epoch as an immutable {!Read_view.t}. The view
-    is cached per epoch, so repeated freezes between mutations are
-    O(1); after a mutation the next freeze pays one O(n) visibility-
-    bitmap copy plus an index freeze per index — the columnar storage
-    itself is shared by pointer. Readers use the view from any domain
-    without locking; writers keep mutating the live table — neither
-    blocks the other. *)
+(** Publish the current epoch as an immutable {!Read_view.t}: under
+    the writer lock, take the table's array backings, counters and
+    each index's postings version. O(number of indexes) at any table
+    size, so every read may take a fresh one. Readers use the view
+    from any domain without locking; writers keep mutating the live
+    table — neither blocks the other. Must not be called from a
+    journal hook (the hook runs under the writer lock). *)
 
 (* Storage accounting (Table I). *)
 

@@ -11,12 +11,9 @@ type t = {
   dir : string;
   db : Database.t;
   wal : Wal.t;
-  checkpoint_every : int option;
   mutable recovery : recovery;
   mutable edbs : (string * Wre.Encrypted_db.t) list;  (* by table name *)
   mutable wre_configs : (string * Record.wre_config) list;
-  mutable ops_since_checkpoint : int;
-  mutable in_hook : bool;
 }
 
 let db t = t.db
@@ -93,40 +90,30 @@ let checkpoint t =
     ~pager:(Pager.config (Database.pager t.db))
     ~views ~wre;
   Wal.reset t.wal;
-  t.ops_since_checkpoint <- 0;
   Obs.Metrics.incr m_checkpoints
 
 (* The journal hook: map the in-memory mutation to a WAL record and
    append it. For mutations of an encrypted table, also capture the
    post-op PRNG state so replay resumes the exact stream. *)
 let log_mutation t (m : Journal.mutation) =
-  if not t.in_hook then begin
-    t.in_hook <- true;
-    Fun.protect ~finally:(fun () -> t.in_hook <- false) @@ fun () ->
-    let prng_of table =
-      Option.map
-        (fun edb -> Stdx.Prng.export (Wre.Encrypted_db.prng edb))
-        (List.assoc_opt table t.edbs)
-    in
-    let op =
-      match m with
-      | Journal.Created_table { name; schema } -> Record.Create_table { name; schema }
-      | Journal.Created_index { table; column; kind } ->
-          Record.Create_index { table; column; kind }
-      | Journal.Inserted { table; row } -> Record.Insert { table; row; prng = prng_of table }
-      | Journal.Inserted_batch { table; rows } ->
-          Record.Insert_batch { table; rows; prng = prng_of table }
-      | Journal.Deleted { table; id } -> Record.Delete { table; id }
-      | Journal.Vacuumed { table } -> Record.Vacuum { table }
-    in
-    ignore (Wal.append t.wal (Record.encode op));
-    t.ops_since_checkpoint <- t.ops_since_checkpoint + 1;
-    match t.checkpoint_every with
-    | Some n when t.ops_since_checkpoint >= n -> checkpoint t
-    | _ -> ()
-  end
+  let prng_of table =
+    Option.map
+      (fun edb -> Stdx.Prng.export (Wre.Encrypted_db.prng edb))
+      (List.assoc_opt table t.edbs)
+  in
+  let op =
+    match m with
+    | Journal.Created_table { name; schema } -> Record.Create_table { name; schema }
+    | Journal.Created_index { table; column; kind } -> Record.Create_index { table; column; kind }
+    | Journal.Inserted { table; row } -> Record.Insert { table; row; prng = prng_of table }
+    | Journal.Inserted_batch { table; rows } ->
+        Record.Insert_batch { table; rows; prng = prng_of table }
+    | Journal.Deleted { table; id } -> Record.Delete { table; id }
+    | Journal.Vacuumed { table } -> Record.Vacuum { table }
+  in
+  ignore (Wal.append t.wal (Record.encode op))
 
-let open_dir ?pager_config ?(group_commit = 1) ?checkpoint_every ~dir () =
+let open_dir ?pager_config ?(group_commit = 1) ~dir () =
   let result, duration_ns =
     Stdx.Clock.time_it @@ fun () ->
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -176,13 +163,10 @@ let open_dir ?pager_config ?(group_commit = 1) ?checkpoint_every ~dir () =
         dir;
         db;
         wal;
-        checkpoint_every;
         recovery =
           { snapshot_loaded = Option.is_some snap; replayed = !replayed; duration_ns = 0.0 };
         edbs = !edbs;
         wre_configs = !configs;
-        ops_since_checkpoint = !replayed;
-        in_hook = false;
       }
     in
     Database.set_journal db (Some (log_mutation t));

@@ -31,14 +31,13 @@ type recovery = {
 val open_dir :
   ?pager_config:Sqldb.Pager.config ->
   ?group_commit:int ->
-  ?checkpoint_every:int ->
   dir:string ->
   unit ->
   t
 (** Open (creating the directory and empty log on first use) and
-    recover. [group_commit] (default 1) = appends per fsync;
-    [checkpoint_every n] checkpoints automatically after every [n]
-    logged operations (default: manual checkpoints only).
+    recover. [group_commit] (default 1) = appends per fsync.
+    Checkpoints are explicit ({!checkpoint}); the journal hook only
+    appends to the WAL and never checkpoints from inside a mutation.
     [pager_config] applies only to a fresh store — an existing
     snapshot's configuration wins. *)
 

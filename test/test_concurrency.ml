@@ -146,7 +146,7 @@ let reader shared =
     if epoch < !last_epoch then fail "epoch went backwards: %d after %d" epoch !last_epoch;
     last_epoch := max !last_epoch epoch;
     let ids sql =
-      match Wre.Proxy.execute_snapshot ~view shared.proxy sql with
+      match Wre.Proxy.execute ~view shared.proxy sql with
       | Error e ->
           fail "query %S failed: %s" sql e;
           []
@@ -173,7 +173,7 @@ let reader shared =
       Array.fold_left
         (fun acc name ->
           let sql = Printf.sprintf "SELECT * FROM people WHERE name = '%s'" name in
-          match Wre.Proxy.execute_snapshot ~view shared.proxy sql with
+          match Wre.Proxy.execute ~view shared.proxy sql with
           | Error e ->
               fail "query %S failed: %s" sql e;
               acc
@@ -305,7 +305,7 @@ let old_epoch_survives_checkpoint () =
   let store, shared, _prng = build ~dir ~seed:master_seed in
   let view = Wre.Encrypted_db.freeze shared.edb in
   let count sql view =
-    match Wre.Proxy.execute_snapshot ~view shared.proxy sql with
+    match Wre.Proxy.execute ~view shared.proxy sql with
     | Ok r -> List.length r.Wre.Proxy.rows
     | Error e -> Alcotest.fail e
   in

@@ -207,7 +207,7 @@ let run_workload ~pool ~kind ~seed =
           match
             ( Sql.execute t.plain sql,
               Wre.Proxy.execute t.proxy sql,
-              Wre.Proxy.execute_snapshot ~pool t.proxy sql )
+              Wre.Proxy.execute ~pool t.proxy sql )
           with
           | Ok p, Ok s, Ok par -> (
               if par.Wre.Proxy.rows <> s.Wre.Proxy.rows then
@@ -408,7 +408,7 @@ let run_join_workload ~pool ~kind ~seed =
           match
             ( Sql.execute t.j_plain sql,
               Wre.Proxy.execute t.j_proxy sql,
-              Wre.Proxy.execute_snapshot ~pool t.j_proxy sql )
+              Wre.Proxy.execute ~pool t.j_proxy sql )
           with
           | Ok p, Ok s, Ok par -> (
               if s.Wre.Proxy.join_exec = None then
@@ -630,7 +630,7 @@ let run_range_workload ~pool ~kind ~seed =
           match
             ( Sql.execute t.r_plain sql,
               Wre.Proxy.execute t.r_proxy sql,
-              Wre.Proxy.execute_snapshot ~pool t.r_proxy sql )
+              Wre.Proxy.execute ~pool t.r_proxy sql )
           with
           | Ok p, Ok s, Ok par -> (
               if rs_traverse && not (took_traverse s) then

@@ -354,7 +354,7 @@ let test_server_byte_identity () =
               List.iter
                 (fun sql ->
                   let remote = Result.get_ok (Client.query c sql) in
-                  let local = Result.get_ok (Wre.Proxy.execute_snapshot proxy sql) in
+                  let local = Result.get_ok (Wre.Proxy.execute proxy sql) in
                   check_bool
                     (Printf.sprintf "byte-identical result for %s" sql)
                     true
@@ -399,7 +399,7 @@ let test_server_concurrent_clients_batch () =
       with_server ~dir ~domains:2 ~window_ns:50e6 ~batch_max:64 (fun (d, _store, edb) ->
           let proxy = Wre.Proxy.create edb in
           let sql = "SELECT * FROM people WHERE city = 'sea'" in
-          let expected = canonical_local (Result.get_ok (Wre.Proxy.execute_snapshot proxy sql)) in
+          let expected = canonical_local (Result.get_ok (Wre.Proxy.execute proxy sql)) in
           let batches = Obs.Metrics.counter "server.batches_total" in
           let batches_before = Obs.Metrics.counter_value batches in
           let n_clients = 8 in

@@ -618,7 +618,7 @@ let test_proxy_join_parallel_identical () =
   let proxy = make_join_proxy (Wre.Scheme.Poisson 100.0) in
   let seq = ok (Wre.Proxy.execute proxy sql) in
   Stdx.Task_pool.with_pool ~domains:4 (fun pool ->
-      let par = ok (Wre.Proxy.execute_snapshot ~pool proxy sql) in
+      let par = ok (Wre.Proxy.execute ~pool proxy sql) in
       check_bool "4-domain join identical" true (seq.rows = par.rows);
       check_bool "same candidate pairs" true
         ((Option.get seq.join_exec).Join.pairs = (Option.get par.join_exec).Join.pairs))

@@ -70,7 +70,7 @@ let test_table_insert_read () =
   check_int "row ids sequential" 0 id0;
   check_int "row ids sequential 2" 1 id1;
   check_int "count" 2 (Table.row_count t);
-  Alcotest.(check string) "read back" "bob" (match (Table.read_row t 1).(1) with Value.Text s -> s | _ -> "?");
+  Alcotest.(check string) "read back" "bob" (match (Read_view.read_row (Table.freeze t) 1).(1) with Value.Text s -> s | _ -> "?");
   Alcotest.check_raises "schema enforced"
     (Invalid_argument "Table.insert(t): column \"name\" expects TEXT, got INT") (fun () ->
       ignore (Table.insert t [| Value.Int 2L; Value.Int 3L; Value.Null |]))
@@ -107,7 +107,7 @@ let test_table_scan () =
     ignore (Table.insert t (mk_row i "n" None))
   done;
   let seen = ref 0 in
-  Table.scan t (fun _id _row -> incr seen);
+  Read_view.scan (Table.freeze t) (fun _id _row -> incr seen);
   check_int "visits all" 100 !seen;
   let stats = Pager.stats pager in
   check_bool "charged rows" true (stats.rows_examined >= 100)
@@ -175,11 +175,12 @@ let test_index_sizes () =
     ignore (Table.insert t (mk_row i (Printf.sprintf "u%d" i) None))
   done;
   let idx = Table.create_index t ~column:"name" in
-  let btree = match idx with Table_index.B b -> b | Table_index.H _ -> Alcotest.fail "not btree" in
+  check_bool "is btree" true (Table_index.kind idx = Table_index.Btree);
+  let btree = Table_index.postings idx in
   check_int "entries" 10000 (Table_index.entry_count idx);
-  check_int "distinct" 10000 (Btree_index.distinct_keys btree);
-  check_bool "has pages" true (Btree_index.leaf_pages btree > 10);
-  check_bool "height >= 1" true (Btree_index.height btree >= 1);
+  check_int "distinct" 10000 (Table_index.distinct_keys idx);
+  check_bool "has pages" true (Btree_index.leaf_pages pager btree > 10);
+  check_bool "height >= 1" true (Btree_index.height pager btree >= 1);
   check_bool "size covers entries" true
     (Table_index.size_bytes idx > 10000 * 16);
   (* Duplicate-heavy index should pack denser than a unique one. *)
@@ -187,13 +188,9 @@ let test_index_sizes () =
   for i = 0 to 9999 do
     ignore (Table.insert t2 (mk_row i "same" None))
   done;
-  let btree2 =
-    match Table.create_index t2 ~column:"name" with
-    | Table_index.B b -> b
-    | Table_index.H _ -> Alcotest.fail "not btree"
-  in
+  let btree2 = Table_index.postings (Table.create_index t2 ~column:"name") in
   check_bool "duplicates pack denser" true
-    (Btree_index.leaf_pages btree2 < Btree_index.leaf_pages btree)
+    (Btree_index.leaf_pages pager btree2 < Btree_index.leaf_pages pager btree)
 
 (* ---------------- Hash index ---------------- *)
 
@@ -261,9 +258,7 @@ let test_hash_index_sizes () =
   let idx = Table.create_index ~kind:Table_index.Hash t ~column:"name" in
   check_int "entries" 10000 (Table_index.entry_count idx);
   check_bool "pages power of two" true
-    (let p =
-       match idx with Table_index.H h -> Hash_index.bucket_pages h | Table_index.B _ -> 0
-     in
+    (let p = Hash_index.bucket_pages pager (Table_index.postings idx) in
      p > 0 && p land (p - 1) = 0);
   check_bool "size positive" true (Table_index.size_bytes idx > 0)
 
@@ -309,12 +304,13 @@ let test_pager_stats_accumulate () =
 
 let test_pager_counters_exact_multi_domain () =
   (* Four domains query disjoint slices concurrently — of a frozen view,
-     then of the unmutated live table (equality predicates only, so no
-     lazy B-tree rebuild runs concurrently). Each query's [stats] is a
-     domain-local delta; the pager's atomic whole-instance totals must
-     equal the sum of those deltas exactly — a lost-update race in the
-     counters, or a per-query window that counts other domains' work,
-     would break the equality. *)
+     of the unmutated live table, and of the live table just after
+     inserts no query matches (so the readers are the first to look at
+     the changed index). Each query's [stats] is a domain-local delta;
+     the pager's atomic whole-instance totals must equal the sum of
+     those deltas exactly — a lost-update race in the counters, or a
+     per-query window that counts other domains' work, would break the
+     equality — and the rows must equal the sequential run's. *)
   let pager = Pager.create () in
   let t = Table.create pager ~name:"t" ~schema:small_schema in
   for i = 0 to 4999 do
@@ -325,7 +321,8 @@ let test_pager_counters_exact_multi_domain () =
   let pred k = Predicate.Eq ("name", Value.Text (Printf.sprintf "n%d" k)) in
   let seq = Array.init 64 (fun k -> Executor.run t ~projection:Executor.All_columns (pred k)) in
   List.iter
-    (fun (label, query) ->
+    (fun (label, prepare, query) ->
+      prepare ();
       Pager.drop_caches pager;
       Pager.reset_stats pager;
       let n_dom = 4 in
@@ -364,8 +361,14 @@ let test_pager_counters_exact_multi_domain () =
           check_bool (Printf.sprintf "%s rows %d" label k) true (r.rows = seq.(k).rows))
         per_query)
     [
-      ("view", Executor.run_view view ~projection:Executor.All_columns);
-      ("live", Executor.run t ~projection:Executor.All_columns);
+      ("view", ignore, Executor.run_view view ~projection:Executor.All_columns);
+      ("live", ignore, Executor.run t ~projection:Executor.All_columns);
+      ( "live after insert",
+        (fun () ->
+          for i = 5000 to 5199 do
+            ignore (Table.insert t (mk_row i (Printf.sprintf "m%d" i) None))
+          done),
+        Executor.run t ~projection:Executor.All_columns );
     ]
 
 let test_run_view_matches_run () =
@@ -434,6 +437,50 @@ let test_view_isolated_from_mutations () =
   check_bool "fresh view at later epoch" true (Read_view.epoch fresh > Read_view.epoch view);
   check_int "fresh view sees new state" 1
     (Array.length (Executor.run_view fresh ~projection:Executor.Row_ids pred).row_ids)
+
+(* A freeze costs the same at any table size: it takes the table's
+   backings, counters and index versions, and copies nothing. *)
+let test_freeze_allocation_constant () =
+  let freeze_bytes rows =
+    let pager = Pager.create () in
+    let t = Table.create pager ~name:"t" ~schema:small_schema in
+    ignore (Table.create_index t ~column:"name");
+    ignore (Table.create_index ~kind:Table_index.Hash t ~column:"id");
+    ignore
+      (Table.insert_batch t
+         (Array.init rows (fun i -> mk_row i (Printf.sprintf "n%d" (i mod 97)) None)));
+    ignore (Table.delete t (rows / 2) : bool);
+    let before = Gc.allocated_bytes () in
+    let view = Table.freeze t in
+    let after = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity view);
+    int_of_float (after -. before)
+  in
+  let small = freeze_bytes 2_000 in
+  let large = freeze_bytes 20_000 in
+  check_int "same bytes at 2,000 and 20,000 rows" small large;
+  check_bool (Printf.sprintf "at most 4 KiB (%d B)" small) true (small <= 4096)
+
+(* A frozen index shares id arrays with the live one, so it must refuse
+   writes. *)
+let test_frozen_index_rejects_writes () =
+  let pager = Pager.create () in
+  let t = Table.create pager ~name:"t" ~schema:small_schema in
+  ignore (Table.create_index t ~column:"name");
+  ignore (Table.insert t (mk_row 0 "a" None));
+  let idx = Option.get (Read_view.index_on (Table.freeze t) ~column:"name") in
+  Alcotest.check_raises "insert" (Invalid_argument "Table_index: t.name.idx is frozen") (fun () ->
+      Table_index.insert idx (Value.Text "a") 1);
+  Alcotest.check_raises "clear" (Invalid_argument "Table_index: t.name.idx is frozen") (fun () ->
+      Table_index.clear idx);
+  ignore (Table.insert t (mk_row 1 "a" None));
+  Alcotest.(check (array int)) "frozen answer unchanged" [| 0 |] (Table_index.lookup idx (Value.Text "a"))
+
+(* corpus/index-probes.txt pins every answer, page touch and size of
+   the scripted index workload (see index_script.ml). *)
+let test_index_probes_match_fixture () =
+  let expected = In_channel.with_open_bin "corpus/index-probes.txt" In_channel.input_all in
+  Alcotest.(check string) "transcript" expected (Index_script.transcript ())
 
 (* ---------------- Executor ---------------- *)
 
@@ -646,7 +693,7 @@ let test_table_delete () =
   let via_index = Executor.run t ~projection:Executor.Row_ids (Predicate.Eq ("name", Value.Text "x")) in
   check_int "index scan skips dead" 9 (Array.length via_index.row_ids);
   let seen = ref 0 in
-  Table.scan t (fun _ _ -> incr seen);
+  Read_view.scan (Table.freeze t) (fun _ _ -> incr seen);
   check_int "seq scan skips dead" 9 !seen
 
 let test_table_update () =
@@ -755,7 +802,7 @@ let test_table_vacuum_reclaims () =
   ignore (entries_before : int);
   (* No resurrection: scans and index lookups see only live versions. *)
   let seen = ref 0 in
-  Table.scan t (fun _ _ -> incr seen);
+  Read_view.scan (Table.freeze t) (fun _ _ -> incr seen);
   check_int "seq scan" 500 !seen;
   for k = 0 to 4 do
     let gone = Executor.run t ~projection:Executor.Row_ids (Predicate.Eq ("name", Value.Text (Printf.sprintf "p%d" k))) in
@@ -975,6 +1022,92 @@ let qcheck_index_vs_scan =
           Array.length via_index.row_ids = expected)
         [ 0; 1; 5; 10 ])
 
+(* A view frozen between two random runs of inserts, deletes and
+   vacuums answers every index lookup, IN list, range and query exactly
+   as a naive sorted list of the rows stored at freeze time. Index
+   entries include dead-but-unvacuumed rows; queries return live ones
+   only. *)
+type view_op = Ins of int | Del of int | Vac
+
+let qcheck_frozen_view_vs_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun k -> Ins k) (int_bound 11));
+          (3, map (fun i -> Del i) (int_bound 1000));
+          (1, return Vac);
+        ])
+  in
+  let print_op = function Ins k -> Printf.sprintf "ins %d" k | Del i -> Printf.sprintf "del %d" i | Vac -> "vac" in
+  let print_ops ops = String.concat "; " (List.map print_op ops) in
+  QCheck.Test.make ~name:"frozen view = freeze-time sorted-list model" ~count:200
+    (QCheck.make
+       ~print:(fun (a, b) -> print_ops a ^ " | freeze | " ^ print_ops b)
+       QCheck.Gen.(pair (list_size (0 -- 80) op) (list_size (0 -- 80) op)))
+    (fun (before, after) ->
+      let pager = Pager.create () in
+      let t = Table.create pager ~name:"t" ~schema:small_schema in
+      ignore (Table.create_index t ~column:"id");
+      ignore (Table.create_index ~kind:Table_index.Hash t ~column:"name");
+      let name k = Printf.sprintf "n%d" (k mod 5) in
+      (* Per row id: its key and whether it is live, dead, or reclaimed. *)
+      let keys = Stdx.Vec.create () and states = Stdx.Vec.create () in
+      let apply = function
+        | Ins k ->
+            ignore (Table.insert t (mk_row k (name k) None));
+            Stdx.Vec.push keys k;
+            Stdx.Vec.push states `Live
+        | Del i ->
+            let n = Stdx.Vec.length keys in
+            if n > 0 then begin
+              let id = i mod n in
+              ignore (Table.delete t id : bool);
+              if Stdx.Vec.get states id = `Live then Stdx.Vec.set states id `Dead
+            end
+        | Vac ->
+            Table.vacuum t;
+            Stdx.Vec.iteri (fun id s -> if s = `Dead then Stdx.Vec.set states id `Gone) states
+      in
+      List.iter apply before;
+      let view = Table.freeze t in
+      (* (key, id, live) of every stored row, sorted by key then id. *)
+      let model =
+        List.filter_map Fun.id
+          (List.init (Stdx.Vec.length keys) (fun id ->
+               match Stdx.Vec.get states id with
+               | `Gone -> None
+               | s -> Some (Stdx.Vec.get keys id, id, s = `Live)))
+        |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+      in
+      List.iter apply after;
+      let ids_where f = Array.of_list (List.filter_map (fun (k, id, live) -> if f k live then Some id else None) model) in
+      let btree = Option.get (Read_view.index_on view ~column:"id") in
+      let hash = Option.get (Read_view.index_on view ~column:"name") in
+      let int_ k = Value.Int (Int64.of_int k) in
+      let keys_probed = List.init 14 (fun k -> k - 1) in
+      List.for_all
+        (fun k ->
+          Table_index.lookup btree (int_ k) = ids_where (fun k' _ -> k' = k)
+          && Table_index.lookup hash (Value.Text (name k))
+             = Array.of_list
+                 (List.sort compare
+                    (Array.to_list (ids_where (fun k' _ -> name k' = name k))))
+          && (Executor.run_view view ~projection:Executor.Row_ids (Predicate.Eq ("id", int_ k))).row_ids
+             = ids_where (fun k' live -> live && k' = k))
+        keys_probed
+      && List.for_all
+           (fun (lo, hi) ->
+             Table_index.range btree ?lo:(Option.map int_ lo) ?hi:(Option.map int_ hi) ()
+             = Some
+                 (ids_where (fun k _ ->
+                      Option.fold ~none:true ~some:(fun lo -> k >= lo) lo
+                      && Option.fold ~none:true ~some:(fun hi -> k <= hi) hi)))
+           [ (Some 2, Some 7); (None, Some 4); (Some 9, None); (None, None); (Some 6, Some 3) ]
+      && Table_index.lookup_many btree [ int_ 3; int_ 1; int_ 3; int_ 20 ]
+         = Array.of_list (List.sort compare (Array.to_list (ids_where (fun k _ -> k = 1 || k = 3))))
+      && Read_view.live_count view = Array.length (ids_where (fun _ live -> live)))
+
 (* ---------------- Join ---------------- *)
 
 let join_schema_left =
@@ -1183,6 +1316,9 @@ let () =
           Alcotest.test_case "run_view matches run" `Quick test_run_view_matches_run;
           Alcotest.test_case "view isolated from mutations" `Quick
             test_view_isolated_from_mutations;
+          Alcotest.test_case "freeze allocation constant" `Quick test_freeze_allocation_constant;
+          Alcotest.test_case "index probes match fixture" `Quick test_index_probes_match_fixture;
+          Alcotest.test_case "frozen index rejects writes" `Quick test_frozen_index_rejects_writes;
         ] );
       ( "executor",
         [
@@ -1232,5 +1368,12 @@ let () =
           Alcotest.test_case "typed rows" `Quick test_csv_typed_rows;
           Alcotest.test_case "untyped roundtrip" `Quick test_csv_untyped_roundtrip;
         ] );
-      ("properties", q [ qcheck_index_vs_scan; qcheck_executor_vs_naive; qcheck_csv_roundtrip ]);
+      ( "properties",
+        q
+          [
+            qcheck_index_vs_scan;
+            qcheck_executor_vs_naive;
+            qcheck_csv_roundtrip;
+            qcheck_frozen_view_vs_model;
+          ] );
     ]

@@ -337,22 +337,6 @@ let test_checkpoint_replays_only_tail () =
       check_int "all rows back" 25 (Sqldb.Table.row_count t);
       Store.Engine.close store)
 
-let test_auto_checkpoint () =
-  with_temp_dir (fun dir ->
-      setup_base dir;
-      let store = Store.Engine.open_dir ~checkpoint_every:10 ~dir () in
-      let edb = Option.get (Store.Engine.encrypted store "t") in
-      for i = 0 to 24 do
-        ignore (Wre.Encrypted_db.insert edb (op_row i))
-      done;
-      Store.Engine.close store;
-      let store = Store.Engine.open_dir ~dir () in
-      let r = Store.Engine.recovery store in
-      check_bool "auto-checkpoint bounds replay" true (r.Store.Engine.replayed <= 10);
-      let t = Wre.Encrypted_db.table (Option.get (Store.Engine.encrypted store "t")) in
-      check_int "all rows back" 25 (Sqldb.Table.row_count t);
-      Store.Engine.close store)
-
 (* ---------------- vacuum + checkpoint (no resurrection) ---------------- *)
 
 let test_vacuum_checkpoint_shrinks_no_resurrection () =
@@ -874,7 +858,6 @@ let () =
           Alcotest.test_case "encrypted + tag continuity" `Quick
             test_encrypted_roundtrip_continues_stream;
           Alcotest.test_case "checkpoint tail replay" `Quick test_checkpoint_replays_only_tail;
-          Alcotest.test_case "auto checkpoint" `Quick test_auto_checkpoint;
           Alcotest.test_case "vacuum + checkpoint" `Quick
             test_vacuum_checkpoint_shrinks_no_resurrection;
         ] );
